@@ -14,10 +14,10 @@
 // both running the vectorized engine; VP_REQUIRE_DICT_SPEEDUP gates the
 // dictionary win (>=4x on string filter + group-by at 1M rows).
 //
-// Kernel workloads time the expr/kernels SIMD library directly (compare,
-// bitmap AND, bitmap->indices, gather, grouped sum) with the kill switch
-// off vs on, plus the whole fused-filter path at ~50% selectivity;
-// VP_REQUIRE_KERNEL_SPEEDUP gates the fused-filter win.
+// Kernel workloads time the expr/kernels library directly (compare, bitmap
+// AND, bitmap->indices, gather, grouped sum) plus the whole fused-filter
+// path at ~50% selectivity, and report the time of a fixed number of passes
+// and the row throughput.
 //
 // Rows default to 1,000,000; VP_SIZES=<n> overrides (the largest entry is
 // used), which is how bench-smoke keeps CI runs short.
@@ -226,23 +226,24 @@ Comparison CompareQuery(const sql::Engine& engine, const char* sql) {
   return c;
 }
 
-/// Runs `fn` with the SIMD kernels disabled (scalar fallback bodies) and
-/// enabled, best-of-kReps each. scalar_ms = kernels off, vector_ms = on.
+/// Best-of-kReps time of `fn`, which makes `iters` kernel passes over
+/// `rows` rows, reported with its row throughput.
 template <typename F>
-Comparison CompareKernelToggle(F fn) {
-  Comparison c;
-  kernels::SetSimdEnabled(false);
-  c.scalar_ms = TimeMs(fn);
-  kernels::SetSimdEnabled(true);
-  c.vector_ms = TimeMs(fn);
-  return c;
+void ReportKernel(BenchReporter* reporter, const char* name, size_t rows,
+                  int iters, F fn) {
+  const double ms = TimeMs(fn);
+  const double mrows_per_s = static_cast<double>(rows) * iters / (ms * 1e3);
+  std::printf("%-18s %12.2f %12.1f\n", name, ms, mrows_per_s);
+  json::Value m = json::Value::MakeObject();
+  m.Set("ms", ms);
+  m.Set("mrows_per_s", mrows_per_s);
+  reporter->AddMetric(name, std::move(m));
+  reporter->AddPhase(name, ms);
 }
 
-/// Per-kernel throughput rows plus the gated fused-filter comparison.
-/// Returns the fused-filter kernels-on speedup (the VP_REQUIRE_KERNEL_SPEEDUP
-/// gate value).
-double RunKernelBench(BenchReporter* reporter, const data::Table& table,
-                      size_t rows, uint64_t seed) {
+/// Per-kernel throughput rows, plus the fused-filter path end to end.
+void RunKernelBench(BenchReporter* reporter, const data::Table& table,
+                    size_t rows, uint64_t seed) {
   // Inner repeats keep each timed region comfortably above timer noise at
   // bench-smoke sizes.
   const int iters = rows >= 1000000 ? 4 : 40;
@@ -263,45 +264,40 @@ double RunKernelBench(BenchReporter* reporter, const data::Table& table,
   kernels::CompareNumToBits(vals.data(), valid.data(), rows,
                             kernels::Cmp::kLt, 900.0, bits_b.data());
 
-  std::printf("\n%-18s %12s %12s %10s\n", "kernel workload", "off_ms", "on_ms",
-              "speedup");
+  std::printf("\n%-18s %12s %12s\n", "kernel workload", "ms", "Mrows/s");
 
-  Comparison cmp = CompareKernelToggle([&] {
+  ReportKernel(reporter, "kern_compare", rows, iters, [&] {
     std::vector<uint8_t> out(rows);
     for (int it = 0; it < iters; ++it) {
       kernels::CompareNumToBits(vals.data(), valid.data(), rows,
                                 kernels::Cmp::kGt, 500.0, out.data());
     }
   });
-  Report(reporter, "kern_compare", cmp);
 
-  Comparison band = CompareKernelToggle([&] {
+  ReportKernel(reporter, "kern_bitmap_and", rows, iters, [&] {
     std::vector<uint8_t> out(rows);
     for (int it = 0; it < iters; ++it) {
       std::copy(bits_a.begin(), bits_a.end(), out.begin());
       kernels::AndBits(out.data(), bits_b.data(), rows);
     }
   });
-  Report(reporter, "kern_bitmap_and", band);
 
-  Comparison toidx = CompareKernelToggle([&] {
+  ReportKernel(reporter, "kern_to_indices", rows, iters, [&] {
     std::vector<int32_t> sel;
     for (int it = 0; it < iters; ++it) {
       sel.clear();
       kernels::BitsToIndices(bits_a.data(), rows, 0, &sel);
     }
   });
-  Report(reporter, "kern_to_indices", toidx);
 
-  Comparison gather = CompareKernelToggle([&] {
+  ReportKernel(reporter, "kern_gather", rows, iters, [&] {
     std::vector<double> out(rows);
     for (int it = 0; it < iters; ++it) {
       kernels::GatherDoubles(vals.data(), gather_idx.data(), rows, out.data());
     }
   });
-  Report(reporter, "kern_gather", gather);
 
-  Comparison gsum = CompareKernelToggle([&] {
+  ReportKernel(reporter, "kern_grouped_sum", rows, iters, [&] {
     std::vector<double> sums(100);
     std::vector<uint64_t> counts(100);
     std::vector<int32_t> rows_idx(rows);
@@ -316,31 +312,20 @@ double RunKernelBench(BenchReporter* reporter, const data::Table& table,
                           sums.data(), counts.data());
     }
   });
-  Report(reporter, "kern_grouped_sum", gsum);
 
-  // The gated row: the whole fused-filter path (compare + selection build)
-  // kernels-on vs the scalar fallback, at ~50% selectivity where branchless
-  // compaction matters most.
+  // The whole fused-filter path (compare + selection build) at ~50%
+  // selectivity, where branchless compaction matters most.
   expr::NodePtr pred = MustParse("datum.d > 500");
   auto program = expr::Compiler::Compile(pred, table.schema());
   if (!program) Die(Status::InvalidArgument("predicate did not compile"), "datum.d > 500");
-  size_t off_hits = 0, on_hits = 0;
-  Comparison fused = CompareKernelToggle([&] {
+  ReportKernel(reporter, "kern_filter_fused", rows, iters, [&] {
     std::vector<int32_t> sel;
     sel.reserve(table.num_rows());
     for (int it = 0; it < iters; ++it) {
       sel.clear();
       expr::BatchEvaluator(table).RunFilter(*program, &sel);
     }
-    (kernels::SimdEnabled() ? on_hits : off_hits) = sel.size();
   });
-  if (off_hits != on_hits) {
-    Die(Status::RuntimeError(StrFormat("kernel filter mismatch: %zu vs %zu rows",
-                                       off_hits, on_hits)),
-        "datum.d > 500");
-  }
-  Report(reporter, "kern_filter_fused", fused);
-  return fused.speedup();
 }
 
 }  // namespace
@@ -411,7 +396,7 @@ int main() {
       engine, flat_engine, "SELECT s, d FROM t ORDER BY s DESC, d LIMIT 100");
   ReportEncoding(&reporter, "str_sort", str_sort);
 
-  const double kernel_gate = RunKernelBench(&reporter, *table, rows, config.seed);
+  RunKernelBench(&reporter, *table, rows, config.seed);
 
   const double gate = std::min(
       {filter_fused.speedup(), filter_compound.speedup(), projection.speedup(),
@@ -423,10 +408,6 @@ int main() {
   std::printf("minimum gated dictionary speedup (str filter/group-by): %.1fx\n",
               dict_gate);
   reporter.AddMetric("min_dict_speedup", json::Value(dict_gate));
-
-  std::printf("gated kernel speedup (fused filter, kernels on/off): %.1fx\n",
-              kernel_gate);
-  reporter.AddMetric("kernel_speedup", json::Value(kernel_gate));
 
   if (const char* env = std::getenv("VP_REQUIRE_SPEEDUP"); env != nullptr && env[0]) {
     double required = std::atof(env);
@@ -442,15 +423,6 @@ int main() {
     if (dict_gate < required) {
       std::fprintf(stderr, "FAIL: dictionary speedup %.1fx below required %.1fx\n",
                    dict_gate, required);
-      return 1;
-    }
-  }
-  if (const char* env = std::getenv("VP_REQUIRE_KERNEL_SPEEDUP");
-      env != nullptr && env[0]) {
-    double required = std::atof(env);
-    if (kernel_gate < required) {
-      std::fprintf(stderr, "FAIL: kernel speedup %.1fx below required %.1fx\n",
-                   kernel_gate, required);
       return 1;
     }
   }

@@ -2,7 +2,7 @@
 // columnar shard. A clustered 4M-row table is written as a VPS1 shard and
 // registered as a shard-backed SQL table; selective brush queries then run
 // twice from a cold chunk cache — once with zone-map pruning enabled, once
-// with the kill switch thrown — and must come back bit-identical. Because
+// with pruning off — and must come back bit-identical. Because
 // the table is clustered on the brushed column, the zone maps prove most
 // chunks irrelevant, so the pruned scan decodes a fraction of the shard:
 // the gate requires >=3x cold-scan speedup and a non-zero pruned-chunk
@@ -14,6 +14,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "data/table.h"
+#include "runtime/engine_config.h"
 #include "sql/engine.h"
 #include "storage/reader.h"
 #include "storage/stats.h"
@@ -55,18 +56,12 @@ struct ScanCase {
   std::string sql;
 };
 
-/// RAII kill-switch scope so a failed run cannot leave pruning disabled.
-class PruningScope {
- public:
-  explicit PruningScope(bool enabled)
-      : saved_(storage::ZoneMapPruningEnabled()) {
-    storage::SetZoneMapPruningEnabled(enabled);
-  }
-  ~PruningScope() { storage::SetZoneMapPruningEnabled(saved_); }
-
- private:
-  bool saved_;
-};
+/// The ambient configuration with zone-map pruning set to `enabled`.
+runtime::EngineConfig PruningConfig(bool enabled) {
+  runtime::EngineConfig cfg = runtime::EngineConfig::Current();
+  cfg.zone_map_pruning = enabled;
+  return cfg;
+}
 
 }  // namespace
 
@@ -131,11 +126,11 @@ int main() {
                                "WHERE cat = 'run_4' AND x < %f", 0.35 * hi)});
 
     for (const ScanCase& sc : cases) {
-      // Unpruned cold scan (kill switch thrown).
+      // Unpruned cold scan.
       double full_ms = 0;
       Result<sql::QueryResult> full = Status::RuntimeError("unset");
       {
-        PruningScope off(false);
+        runtime::ScopedEngineConfig off(PruningConfig(false));
         (*reader)->EvictAll();
         StopWatch w;
         full = engine.Query(sc.sql);
@@ -146,7 +141,7 @@ int main() {
       double pruned_ms = 0;
       Result<sql::QueryResult> pruned = Status::RuntimeError("unset");
       {
-        PruningScope on(true);
+        runtime::ScopedEngineConfig on(PruningConfig(true));
         (*reader)->EvictAll();
         StopWatch w;
         pruned = engine.Query(sc.sql);

@@ -13,11 +13,8 @@
 //  2. *Cheap when cold.* fired() is one relaxed atomic load when no deadline
 //     is set, one steady_clock read otherwise. It is safe to poll per morsel
 //     (16k rows), not per row.
-//  3. *Kill switch.* SetCooperativeCancelEnabled(false) makes every token
-//     report unfired regardless of state, restoring pre-cancellation
-//     behavior bit-for-bit (runtime::EngineConfig::cooperative_cancel is the
-//     configuration surface; these free functions are the storage owners,
-//     following the parallel.h pattern).
+//  3. *Invisible when unfired.* A checkpoint whose token has not fired is a
+//     no-op, so results are bit-identical to a run without a token.
 //  4. *Hierarchy.* A token may have a parent: hedged attempts carry a child
 //     token so the middleware can abandon one attempt without touching its
 //     sibling, while a fired parent (ticket cancelled) stops both.
@@ -33,13 +30,6 @@
 
 namespace vegaplus {
 namespace common {
-
-/// Process-wide kill switch (default on). With cooperative cancellation
-/// disabled, CancelToken::fired() is constant false: every checkpoint
-/// becomes a no-op and execution runs to completion exactly as before the
-/// cancellation layer existed.
-bool CooperativeCancelEnabled();
-void SetCooperativeCancelEnabled(bool enabled);
 
 class CancelToken {
  public:
@@ -62,10 +52,13 @@ class CancelToken {
   void Cancel() { cancelled_.store(true, std::memory_order_release); }
 
   /// True once the token has fired (explicit Cancel, expired deadline, or
-  /// fired parent) and the kill switch is on. Checkpoints poll this.
+  /// fired parent). Checkpoints poll this.
   bool fired() const {
-    if (!CooperativeCancelEnabled()) return false;
-    return FiredIgnoringKillSwitch();
+    if (cancelled_.load(std::memory_order_acquire)) return true;
+    if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
+      return true;
+    }
+    return parent_ != nullptr && parent_->fired();
   }
 
   /// True when Cancel() was called explicitly (deadline expiry alone does
@@ -88,14 +81,6 @@ class CancelToken {
   }
 
  private:
-  bool FiredIgnoringKillSwitch() const {
-    if (cancelled_.load(std::memory_order_acquire)) return true;
-    if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
-      return true;
-    }
-    return parent_ != nullptr && parent_->FiredIgnoringKillSwitch();
-  }
-
   std::atomic<bool> cancelled_{false};
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};

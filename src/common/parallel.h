@@ -15,11 +15,10 @@
 //     morsel boundaries are a pure function of the input size and the
 //     configured morsel size — never of the thread count — so callers can
 //     merge per-morsel results in morsel order and get results that are
-//     bit-identical run to run, at any parallelism, and with the kill
-//     switch off.
-//  3. *Kill switch.* SetMorselParallelEnabled(false) routes every
-//     ParallelFor through the inline sequential path (same chunking, same
-//     merge order) for debugging and differential testing.
+//     bit-identical run to run, at any parallelism.
+//  3. *Serial reference.* SetMorselParallelism(1) routes every ParallelFor
+//     through the inline sequential path (same chunking, same merge order);
+//     the differential suites use it as the oracle for the parallel path.
 #ifndef VEGAPLUS_COMMON_PARALLEL_H_
 #define VEGAPLUS_COMMON_PARALLEL_H_
 
@@ -32,21 +31,19 @@
 namespace vegaplus {
 namespace parallel {
 
-/// Global kill switch (default on). With parallelism disabled, ParallelFor
-/// runs tasks inline on the calling thread in index order.
-///
 /// The morsel knobs below are deprecated as a public configuration surface:
 /// prefer runtime::EngineConfig (runtime/engine_config.h), which snapshots
 /// and applies every process-wide switch coherently. These free functions
 /// remain the storage owners.
-bool MorselParallelEnabled();
-void SetMorselParallelEnabled(bool enabled);
-
-/// Number of threads (caller included) a ParallelFor may use. 0 (the
-/// default) means std::thread::hardware_concurrency(). Benchmarks set this
-/// to measure scaling at fixed thread counts.
+///
+/// Number of threads (caller included) a ParallelFor may use, as configured:
+/// 0 (the default) means std::thread::hardware_concurrency(), 1 runs every
+/// ParallelFor inline on the calling thread in index order. Benchmarks set
+/// this to measure scaling at fixed thread counts.
 size_t MorselParallelism();
 void SetMorselParallelism(size_t threads);
+/// The thread count MorselParallelism() resolves to (0 -> hardware).
+size_t EffectiveParallelism();
 
 /// Rows per morsel for table-shaped work (default 16384). Morsel boundaries
 /// feed deterministic merges, so tests shrink this to exercise many-morsel

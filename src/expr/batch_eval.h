@@ -270,7 +270,7 @@ class BatchEvaluator {
 /// pool (common/parallel.h), and the per-morsel registers / selection
 /// vectors are stitched back together in morsel order. Every program op is
 /// elementwise, so the stitched result is bit-identical to a single
-/// full-batch run; single-morsel inputs and the kill-switch path go through
+/// full-batch run; single-morsel inputs and morsel_threads = 1 go through
 /// BatchEvaluator directly.
 ///
 /// `cancel` (optional) is polled at morsel checkpoints (common/cancel.h):

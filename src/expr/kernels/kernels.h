@@ -10,14 +10,13 @@
 // filter all route their inner loops through one implementation instead of
 // keeping near-copies.
 //
-// Dispatch contract: every kernel has a pragma-vectorized body and a scalar
-// fallback selected by the SimdEnabled() kill switch (EngineConfig::
-// simd_kernels; initial value from the VEGAPLUS_SIMD_KERNELS env var so CI
-// can force the fallback). Both bodies compute the same exact per-element
-// operation in the same order, so results are bit-identical either way:
-// compares, bitmap logic, conversions, and gathers are order-insensitive
-// exact ops, and float accumulation always runs in ascending index order
-// (no SIMD reassociation of sums).
+// One body per kernel: compares, bitmap logic and counts carry a
+// vectorization pragma over branchless bytewise loops; compactions
+// (BitsToIndices, index refinement) are branchless store-and-advance loops;
+// gathers and scatter-bound accumulators are plain loops. Every body runs
+// its exact per-element operation in ascending index order, so float
+// accumulation never reassociates and results are bit-identical at any
+// morsel thread count.
 //
 // Comparison semantics mirror the expression engine exactly (which mirrors
 // Value::Compare): a null cell fails every compare except !=, kEq is
@@ -34,29 +33,16 @@
 namespace vegaplus {
 namespace kernels {
 
-/// Kill switch (default on; initialized once from VEGAPLUS_SIMD_KERNELS,
-/// "0" = off). When off every kernel runs its scalar fallback body — the
-/// differential baseline for proving the SIMD paths bit-identical.
-///
-/// Free functions own the storage, like the other per-layer switches;
-/// runtime::EngineConfig (simd_kernels) snapshots and applies it coherently.
-bool SimdEnabled();
-void SetSimdEnabled(bool enabled);
-
 // ---- Dispatch observability (style of storage/stats.h) ----
 //
 // Process-global monotone counters, rebased by Middleware::stats() against a
-// construction-time baseline. Selection counters record the density
-// heuristic's choice per filter evaluation (one bump per batch/morsel, not
-// per row); the fallback counter records kernel invocations that ran a
-// scalar body because the kill switch is off.
+// construction-time baseline. They record the density heuristic's choice per
+// filter evaluation (one bump per batch/morsel, not per row).
 
 void AddBitmapSelections(uint64_t n);
 uint64_t BitmapSelections();
 void AddIndexSelections(uint64_t n);
 uint64_t IndexSelections();
-void AddScalarFallbacks(uint64_t n);
-uint64_t ScalarFallbacks();
 
 /// Comparison operator of the compare kernels (column on the left).
 enum class Cmp : uint8_t { kLt, kLte, kGt, kGte, kEq, kNeq };

@@ -1,10 +1,8 @@
 #include "runtime/engine_config.h"
 
-#include "common/cancel.h"
 #include "common/parallel.h"
 #include "data/column.h"
 #include "expr/batch_eval.h"
-#include "expr/kernels/kernels.h"
 #include "storage/stats.h"
 #include "tiles/tile_store.h"
 
@@ -14,29 +12,23 @@ namespace runtime {
 EngineConfig EngineConfig::Current() {
   EngineConfig cfg;
   cfg.vectorized = expr::VectorizedEnabled();
-  cfg.simd_kernels = kernels::SimdEnabled();
   cfg.dictionary_encoding = data::DictionaryEncodingEnabled();
-  cfg.morsel_parallel = parallel::MorselParallelEnabled();
   cfg.morsel_threads = parallel::MorselParallelism();
   cfg.morsel_rows = parallel::MorselRows();
   cfg.tile_serving = tiles::TileServingEnabled();
   cfg.zone_map_pruning = storage::ZoneMapPruningEnabled();
   cfg.storage_residency_bytes = storage::DefaultResidencyBudget();
-  cfg.cooperative_cancel = common::CooperativeCancelEnabled();
   return cfg;
 }
 
 void EngineConfig::Apply() const {
   expr::SetVectorizedEnabled(vectorized);
-  kernels::SetSimdEnabled(simd_kernels);
   data::SetDictionaryEncodingEnabled(dictionary_encoding);
-  parallel::SetMorselParallelEnabled(morsel_parallel);
   parallel::SetMorselParallelism(morsel_threads);
   parallel::SetMorselRows(morsel_rows);
   tiles::SetTileServingEnabled(tile_serving);
   storage::SetZoneMapPruningEnabled(zone_map_pruning);
   storage::SetDefaultResidencyBudget(storage_residency_bytes);
-  common::SetCooperativeCancelEnabled(cooperative_cancel);
 }
 
 }  // namespace runtime

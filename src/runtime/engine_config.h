@@ -1,23 +1,30 @@
 // One struct for every process-wide execution switch. Historically each layer
 // grew its own free-function toggle (expr::SetVectorizedEnabled,
-// data::SetDictionaryEncodingEnabled, parallel::SetMorselParallelEnabled and
-// the morsel knobs, tiles::SetTileServingEnabled); callers that wanted a
-// coherent configuration had to call five setters in the right order and had
-// no way to read the state back atomically. EngineConfig is the consolidated
-// front door:
+// data::SetDictionaryEncodingEnabled, the morsel knobs,
+// tiles::SetTileServingEnabled, storage::SetZoneMapPruningEnabled); callers
+// that wanted a coherent configuration had to call every setter in the right
+// order and had no way to read the state back atomically. EngineConfig is the
+// consolidated front door:
 //
-//   * EngineConfig::Current() snapshots every switch.
+//   * EngineConfig::Current() snapshots every switch as configured (so
+//     morsel_threads = 0 stays 0), which makes Current().Apply() an identity.
 //   * cfg.Apply() writes every switch (the per-layer setters stay as the
 //     storage owners, so layering is unchanged: data/expr/common never see
 //     runtime).
 //   * Middleware snapshots one EngineConfig at construction
 //     (MiddlewareOptions::engine_config overrides the ambient values) and
-//     exposes it via Middleware::engine_config(); middleware-side features
-//     such as tile serving are gated on the snapshot, not the live globals.
+//     exposes it via Middleware::engine_config(); the snapshot decides only
+//     tile serving, every other switch is read live from the globals.
 //
 // The old per-layer free functions remain valid but are deprecated as a
 // public configuration surface — new call sites should go through
 // EngineConfig.
+//
+// Every switch that turns a fast path off names a reference oracle the
+// differential suites compare against: the scalar interpreter
+// (vectorized = false), flat strings (dictionary_encoding = false), the
+// serial morsel loop (morsel_threads = 1), full scans (zone_map_pruning =
+// false) and DBMS execution (tile_serving = false).
 #ifndef VEGAPLUS_RUNTIME_ENGINE_CONFIG_H_
 #define VEGAPLUS_RUNTIME_ENGINE_CONFIG_H_
 
@@ -31,12 +38,8 @@ struct EngineConfig {
   bool vectorized = true;
   /// Dictionary encoding for string columns loaded from CSV/JSON.
   bool dictionary_encoding = true;
-  /// Explicit-SIMD inner-loop kernels (expr/kernels). Disabling forces the
-  /// scalar fallback bodies; results must stay bit-identical either way.
-  bool simd_kernels = true;
-  /// Morsel-driven parallelism across the shared worker pool.
-  bool morsel_parallel = true;
-  /// Worker count for morsel execution. 0 = hardware concurrency.
+  /// Worker count for morsel execution. 0 = hardware concurrency; 1 = the
+  /// serial path (same morsels, same merge order, no pool).
   size_t morsel_threads = 0;
   /// Rows per morsel for table-shaped work.
   size_t morsel_rows = 16384;
@@ -49,12 +52,6 @@ struct EngineConfig {
   /// Byte budget for decoded chunks resident per storage::Reader (LRU
   /// evicted beyond it). 0 = unbounded.
   size_t storage_residency_bytes = 256 << 20;
-  /// Cooperative cancellation: morsel/page-in/tile-build checkpoints honor
-  /// fired CancelTokens (common/cancel.h), reclaiming workers mid-query when
-  /// a deadline expires or a ticket is cancelled. Disabling restores
-  /// run-to-completion behavior; results are bit-identical either way
-  /// whenever no token fires.
-  bool cooperative_cancel = true;
 
   /// Snapshot the live process-wide switches.
   static EngineConfig Current();

@@ -331,7 +331,6 @@ Middleware::Middleware(const sql::Engine* engine, MiddlewareOptions options)
   storage_chunks_paged_in_baseline_ = storage::ChunksPagedIn();
   kernel_bitmap_selections_baseline_ = kernels::BitmapSelections();
   kernel_index_selections_baseline_ = kernels::IndexSelections();
-  kernel_scalar_fallbacks_baseline_ = kernels::ScalarFallbacks();
   default_session_ = CreateSession();
 }
 
@@ -526,13 +525,10 @@ void Middleware::RunQueryTask(std::shared_ptr<Session> session, QueryTicketPtr t
   // cancellation (supersession, client abandon) or by the request deadline.
   // The engine polls it at morsel checkpoints, so a fired token reclaims
   // this worker within one morsel instead of after the full scan.
-  std::shared_ptr<common::CancelToken> token;
-  if (engine_config_.cooperative_cancel) {
-    token = deadline.has_value()
-                ? std::make_shared<common::CancelToken>(*deadline)
-                : std::make_shared<common::CancelToken>();
-    ticket->LinkCancel(token);
-  }
+  auto token = deadline.has_value()
+                   ? std::make_shared<common::CancelToken>(*deadline)
+                   : std::make_shared<common::CancelToken>();
+  ticket->LinkCancel(token);
 
   auto deliver_error = [&](const Status& st) {
     if (ticket->CommitDelivery()) {
@@ -663,10 +659,7 @@ void Middleware::RunQueryTask(std::shared_ptr<Session> session, QueryTicketPtr t
       if (hedge_threshold_ms >= 0) {
         race = std::make_shared<HedgeRace>();
         race->threshold_ms = hedge_threshold_ms;
-        if (token != nullptr) {
-          race->hedge_token =
-              std::make_shared<common::CancelToken>(token, deadline);
-        }
+        race->hedge_token = std::make_shared<common::CancelToken>(token, deadline);
         auto hedge_task = [this, race, bound_stmt = *bound,
                            hedge_key = HedgeInjectorKey(key), deadline]() {
           {
@@ -697,8 +690,7 @@ void Middleware::RunQueryTask(std::shared_ptr<Session> session, QueryTicketPtr t
           Result<sql::QueryResult> r =
               !injected.ok()
                   ? Result<sql::QueryResult>(injected)
-                  : engine_->Execute(*bound_stmt,
-                                     race->hedge_token ? &hedge_ctx : nullptr);
+                  : engine_->Execute(*bound_stmt, &hedge_ctx);
           std::lock_guard<std::mutex> lk(race->mu);
           race->hedge_fault_ms = stall_ms;
           race->hedge_result.emplace(std::move(r));
@@ -749,7 +741,7 @@ void Middleware::RunQueryTask(std::shared_ptr<Session> session, QueryTicketPtr t
         std::lock_guard<std::mutex> lk(race->mu);
         if (!race->decided) {
           race->decided = true;
-          if (race->hedge_token) race->hedge_token->Cancel();
+          race->hedge_token->Cancel();
           race->cv.notify_all();
         }
       };
@@ -808,7 +800,7 @@ void Middleware::RunQueryTask(std::shared_ptr<Session> session, QueryTicketPtr t
         common::QueryContext qctx{token};
         Result<sql::QueryResult> result =
             injected.ok()
-                ? engine_->Execute(**bound, token != nullptr ? &qctx : nullptr)
+                ? engine_->Execute(**bound, &qctx)
                 : Result<sql::QueryResult>(injected);
         if (result.ok()) {
           breaker_->RecordSuccess(scope);
@@ -1089,8 +1081,6 @@ Middleware::Stats Middleware::stats() const {
       kernels::BitmapSelections() - kernel_bitmap_selections_baseline_;
   out.kernel_index_selections =
       kernels::IndexSelections() - kernel_index_selections_baseline_;
-  out.kernel_scalar_fallbacks =
-      kernels::ScalarFallbacks() - kernel_scalar_fallbacks_baseline_;
   return out;
 }
 
@@ -1110,7 +1100,6 @@ void Middleware::ResetStats() {
   storage_chunks_paged_in_baseline_ = storage::ChunksPagedIn();
   kernel_bitmap_selections_baseline_ = kernels::BitmapSelections();
   kernel_index_selections_baseline_ = kernels::IndexSelections();
-  kernel_scalar_fallbacks_baseline_ = kernels::ScalarFallbacks();
 }
 
 void Middleware::ClearCaches() {

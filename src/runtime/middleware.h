@@ -113,9 +113,10 @@ struct MiddlewareOptions {
   std::function<void(const std::string& cache_key)> before_dbms_execute;
   /// Engine feature snapshot this middleware runs with. Unset means
   /// "snapshot the ambient process-wide configuration at construction".
-  /// The snapshot decides middleware-owned features (tile serving);
-  /// process-global toggles (vectorization, morsels, dictionaries) remain
-  /// ambient — use ScopedEngineConfig to pin them for a scope.
+  /// The snapshot decides only tile serving; every other switch
+  /// (vectorization, morsels, dictionaries, pruning, residency) stays
+  /// process-global and ambient — use ScopedEngineConfig to pin them for a
+  /// scope.
   std::optional<EngineConfig> engine_config;
   /// Tile store tuning (used only when the snapshot enables tile serving).
   tiles::TileStoreOptions tile_options;
@@ -334,10 +335,9 @@ class Middleware : public rewrite::QueryService {
     size_t storage_morsels_pruned = 0;  ///< in-memory morsels skipped likewise
     size_t storage_chunks_paged_in = 0; ///< shard chunks decoded into residency
     size_t storage_resident_bytes = 0;  ///< current decoded-chunk gauge (raw)
-    // SIMD kernel dispatch since construction / ResetStats().
+    // Kernel filter dispatch since construction / ResetStats().
     size_t kernel_bitmap_selections = 0; ///< filters resolved in bitmap domain
     size_t kernel_index_selections = 0;  ///< filters refined on index lists
-    size_t kernel_scalar_fallbacks = 0;  ///< kernel calls on the scalar bodies
   };
   Stats stats() const;
   void ResetStats();
@@ -492,10 +492,9 @@ class Middleware : public rewrite::QueryService {
   size_t storage_chunks_pruned_baseline_ = 0;
   size_t storage_morsels_pruned_baseline_ = 0;
   size_t storage_chunks_paged_in_baseline_ = 0;
-  /// Likewise for the process-wide SIMD kernel dispatch counters.
+  /// Likewise for the process-wide kernel dispatch counters.
   size_t kernel_bitmap_selections_baseline_ = 0;
   size_t kernel_index_selections_baseline_ = 0;
-  size_t kernel_scalar_fallbacks_baseline_ = 0;
   uint64_t next_session_id_ = 1;
 
   /// Per-statement latency observations driving the hedge threshold.

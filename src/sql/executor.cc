@@ -685,7 +685,7 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
     // Chunked accumulation: each chunk of selection positions fills its own
     // partial states and the partials merge in chunk order. Chunk boundaries
     // come from AggChunkSize — a function of the data shape only, never the
-    // thread count or the kill switch — so the merged result is bit-identical
+    // thread count — so the merged result is bit-identical
     // whether the chunks run sequentially or across the morsel pool. One
     // aggregate at a time, so exactly one full-table argument register is
     // live (the boundaries are shared by every aggregate, so the per-agg

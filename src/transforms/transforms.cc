@@ -272,8 +272,8 @@ struct VegaAggState {
 
   /// Fold `other` (a later chunk of the same group's rows) into this state.
   /// Mirrors sql::AggState::Merge: chunks merge in row order, with chunk
-  /// boundaries fixed by AggChunkSize (independent of thread count and of
-  /// the morsel kill switch), so results are identical at any parallelism.
+  /// boundaries fixed by AggChunkSize (independent of thread count), so
+  /// results are identical at any parallelism.
   void Merge(VegaAggOp op, VegaAggState&& other) {
     count += other.count;
     valid += other.valid;
@@ -394,9 +394,8 @@ Result<EvalResult> AggregateOp::Evaluate(const TablePtr& input,
   // Chunked accumulation, mirroring the SQL executor: each chunk of rows
   // fills its own partial states (possibly across the morsel pool) and the
   // partials merge in chunk order. Chunk boundaries depend only on the data
-  // shape, so the merged result is identical at any parallelism and with
-  // the kill switch off. One measure at a time, so exactly one widened
-  // column register is live.
+  // shape, so the merged result is identical at any parallelism. One
+  // measure at a time, so exactly one widened column register is live.
   const size_t chunk_rows = parallel::AggChunkSize(
       n, num_groups * std::max<size_t>(1, params_.ops.size()));
   const std::vector<parallel::Range> chunks = parallel::SplitRanges(n, chunk_rows);

@@ -350,11 +350,12 @@ TEST_F(CancellationTest, HedgeBeatsInjectedStall) {
   EXPECT_EQ(stats.errors, 0u);
 }
 
-// Kill-switch bit-identity: with cooperative_cancel off — and with it on
-// but no token ever firing — results are byte-for-byte identical across a
-// corpus exercising scan, filter, aggregation, grouping, and ordering on
-// the 4M-row shard.
-TEST_F(CancellationTest, BitIdenticalWithCooperativeCancelOff) {
+// Bit-identity: a live token that never fires — minted by the middleware
+// for every request, or passed to the engine directly — leaves results
+// byte-for-byte identical to a run with no context at all, across a corpus
+// exercising scan, filter, aggregation, grouping, and ordering on the
+// 4M-row shard.
+TEST_F(CancellationTest, BitIdenticalWithUnfiredToken) {
   const char* corpus[] = {
       "SELECT COUNT(*) AS c FROM t WHERE v < 1000000",
       "SELECT SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi FROM t",
@@ -363,41 +364,34 @@ TEST_F(CancellationTest, BitIdenticalWithCooperativeCancelOff) {
       "GROUP BY FLOOR(v / 1000000) ORDER BY g",
   };
 
-  sql::Engine on_engine;
-  sql::Engine off_engine;
-  auto on_reader = OpenShard();
-  auto off_reader = OpenShard();
-  ASSERT_NE(on_reader, nullptr);
-  ASSERT_NE(off_reader, nullptr);
-  ASSERT_TRUE(on_engine.RegisterShardTable("t", on_reader).ok());
-  ASSERT_TRUE(off_engine.RegisterShardTable("t", off_reader).ok());
-
-  Middleware on_mw(&on_engine, {});  // cooperative_cancel defaults on
-  MiddlewareOptions off_options;
-  off_options.engine_config = EngineConfig::Current();
-  off_options.engine_config->cooperative_cancel = false;  // no tokens at all
-  Middleware off_mw(&off_engine, off_options);
+  sql::Engine mw_engine;
+  sql::Engine engine;
+  auto mw_reader = OpenShard();
+  auto reader = OpenShard();
+  ASSERT_NE(mw_reader, nullptr);
+  ASSERT_NE(reader, nullptr);
+  ASSERT_TRUE(mw_engine.RegisterShardTable("t", mw_reader).ok());
+  ASSERT_TRUE(engine.RegisterShardTable("t", reader).ok());
+  Middleware mw(&mw_engine, {});
 
   for (const char* sql : corpus) {
-    auto with = on_mw.Execute(sql);
-    auto without = off_mw.Execute(sql);
-    ASSERT_TRUE(with.ok()) << sql << ": " << with.status();
-    ASSERT_TRUE(without.ok()) << sql << ": " << without.status();
-    EXPECT_EQ(Bytes(*with->table), Bytes(*without->table)) << sql;
+    auto plain = engine.Query(sql);
+    ASSERT_TRUE(plain.ok()) << sql << ": " << plain.status();
 
-    // Engine-direct sweep: a live token with a far-future deadline (polled
-    // at every checkpoint, never firing) against no context at all.
+    auto served = mw.Execute(sql);
+    ASSERT_TRUE(served.ok()) << sql << ": " << served.status();
+    EXPECT_EQ(Bytes(*served->table), Bytes(*plain->table)) << sql;
+
+    // Engine-direct: a far-future deadline is polled at every checkpoint
+    // and never fires.
     common::QueryContext ctx;
     ctx.cancel = std::make_shared<common::CancelToken>(
         std::chrono::steady_clock::now() + std::chrono::hours(1));
-    auto tokened = on_engine.Query(sql, &ctx);
-    auto plain = on_engine.Query(sql);
+    auto tokened = engine.Query(sql, &ctx);
     ASSERT_TRUE(tokened.ok()) << sql << ": " << tokened.status();
-    ASSERT_TRUE(plain.ok()) << sql << ": " << plain.status();
     EXPECT_EQ(Bytes(*tokened->table), Bytes(*plain->table)) << sql;
   }
-  EXPECT_EQ(on_mw.stats().cancelled_mid_flight, 0u);
-  EXPECT_EQ(off_mw.stats().cancelled_mid_flight, 0u);
+  EXPECT_EQ(mw.stats().cancelled_mid_flight, 0u);
 }
 
 // 8-thread cancel storm: generations superseding in-flight work, explicit

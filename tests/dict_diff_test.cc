@@ -1,5 +1,5 @@
 // Differential suite for dictionary-encoded string columns: the same data
-// built dictionary-encoded (the default) and flat (kill switch off) must
+// built dictionary-encoded (the default) and flat (encoding off) must
 // produce bit-identical results through every engine path — the expression
 // corpus, string-heavy SQL (group-by / equality filters / ORDER BY /
 // HAVING / windows), transforms, and IPC round trips — including
@@ -11,13 +11,13 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "data/ipc.h"
 #include "data/table.h"
 #include "expr/batch_eval.h"
 #include "expr/compiler.h"
 #include "expr/parser.h"
 #include "expr_corpus_test_util.h"
+#include "runtime/engine_config.h"
 #include "sql/engine.h"
 #include "transforms/transforms.h"
 
@@ -28,40 +28,24 @@ using data::TablePtr;
 using data::Value;
 using testutil::SameCell;
 
-/// Pin the dictionary-encoding switch for one scope and restore after.
-class DictSwitchGuard {
- public:
-  explicit DictSwitchGuard(bool enabled)
-      : saved_(data::DictionaryEncodingEnabled()) {
-    data::SetDictionaryEncodingEnabled(enabled);
-  }
-  ~DictSwitchGuard() { data::SetDictionaryEncodingEnabled(saved_); }
+using runtime::EngineConfig;
+using runtime::ScopedEngineConfig;
 
- private:
-  bool saved_;
-};
+/// The ambient configuration with dictionary encoding set to `enabled`.
+EngineConfig DictConfig(bool enabled) {
+  EngineConfig cfg = EngineConfig::Current();
+  cfg.dictionary_encoding = enabled;
+  return cfg;
+}
 
-/// Pin the morsel configuration for one test and restore defaults after
-/// (mirrors morsel_diff_test.cc).
-class MorselConfigGuard {
- public:
-  MorselConfigGuard(size_t morsel_rows, size_t threads)
-      : saved_rows_(parallel::MorselRows()),
-        saved_enabled_(parallel::MorselParallelEnabled()) {
-    parallel::SetMorselRows(morsel_rows);
-    parallel::SetMorselParallelism(threads);
-    parallel::SetMorselParallelEnabled(true);
-  }
-  ~MorselConfigGuard() {
-    parallel::SetMorselParallelEnabled(saved_enabled_);
-    parallel::SetMorselParallelism(0);  // 0 = hardware default
-    parallel::SetMorselRows(saved_rows_);
-  }
-
- private:
-  size_t saved_rows_;
-  bool saved_enabled_;
-};
+/// The ambient configuration with the morsel knobs pinned (mirrors
+/// morsel_diff_test.cc).
+EngineConfig MorselConfig(size_t morsel_rows, size_t threads) {
+  EngineConfig cfg = EngineConfig::Current();
+  cfg.morsel_rows = morsel_rows;
+  cfg.morsel_threads = threads;
+  return cfg;
+}
 
 /// The same logical table in both physical forms.
 struct TwinTables {
@@ -72,11 +56,11 @@ struct TwinTables {
 TwinTables MakeTwins(uint64_t seed, size_t rows) {
   TwinTables twins;
   {
-    DictSwitchGuard on(true);
+    ScopedEngineConfig on(DictConfig(true));
     twins.dict = testutil::MakeRandomExprTable(seed, rows);
   }
   {
-    DictSwitchGuard off(false);
+    ScopedEngineConfig off(DictConfig(false));
     twins.flat = testutil::MakeRandomExprTable(seed, rows);
   }
   return twins;
@@ -117,7 +101,7 @@ TEST(DictDiffTest, EncodeDecodeRoundTripsPreserveCells) {
 // Appending a new unique string to a column whose dictionary is shared (via
 // Take) clones the dictionary first: the sibling's view never changes.
 TEST(DictDiffTest, SharedDictionaryCopyOnWrite) {
-  DictSwitchGuard on(true);
+  ScopedEngineConfig on(DictConfig(true));
   data::Column col(data::DataType::kString);
   col.AppendString("a");
   col.AppendString("b");
@@ -188,15 +172,15 @@ TEST(DictDiffTest, FilterSelectionsMatchFlat) {
     expr::BatchEvaluator(*twins.flat).RunFilter(*program, &flat_sel);
     EXPECT_EQ(dict_sel, flat_sel) << text;
     // Morsel-parallel over shared dictionaries matches too.
-    MorselConfigGuard guard(/*morsel_rows=*/311, /*threads=*/4);
+    ScopedEngineConfig scoped(MorselConfig(/*morsel_rows=*/311, /*threads=*/4));
     std::vector<int32_t> dict_morsel;
     expr::RunFilterMorselParallel(*twins.dict, *program, &dict_morsel);
     EXPECT_EQ(dict_morsel, flat_sel) << text << " (morsel)";
   }
 }
 
-// Conjunction fusion itself (satellite): the fused path and the kill-switch
-// register path select identical rows for mixed numeric/string AND-chains.
+// Conjunction fusion itself: the fused path and the general register path
+// select identical rows for mixed numeric/string AND-chains.
 TEST(DictDiffTest, FusedConjunctionsMatchRegisterPath) {
   TwinTables twins = MakeTwins(41, 4000);
   const char* predicates[] = {
@@ -276,11 +260,9 @@ TEST_F(DictQueryDiffTest, StringQueriesMatchFlat) {
 // The scalar interpreter reads dictionary columns through the same StringAt
 // surface: with vectorization off the two forms still agree.
 TEST_F(DictQueryDiffTest, ScalarPathStringQueriesMatchFlat) {
-  struct VectorizedOffGuard {
-    VectorizedOffGuard() { expr::SetVectorizedEnabled(false); }
-    ~VectorizedOffGuard() { expr::SetVectorizedEnabled(true); }
-  };
-  VectorizedOffGuard vectorized_off;
+  EngineConfig scalar = EngineConfig::Current();
+  scalar.vectorized = false;
+  ScopedEngineConfig vectorized_off(scalar);
   for (const char* sql : kStringQueries) ExpectSame(sql);
 }
 
@@ -293,7 +275,7 @@ TEST_F(DictQueryDiffTest, ResultsInvariantAcrossThreadsAndEncodings) {
       "WHERE sc != 'cat_0' GROUP BY sc ORDER BY sc";
   data::TablePtr reference;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    MorselConfigGuard guard(/*morsel_rows=*/1024, threads);
+    ScopedEngineConfig scoped(MorselConfig(/*morsel_rows=*/1024, threads));
     for (bool dict : {true, false}) {
       data::TablePtr result = Run(dict ? dict_engine_ : flat_engine_, sql);
       ASSERT_NE(result, nullptr) << threads << " threads dict=" << dict;

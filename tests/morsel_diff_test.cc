@@ -2,9 +2,11 @@
 // corpus and a group-by/filter query set run both single-threaded and
 // morsel-parallel (small morsels, so even modest tables span many morsels),
 // and the results must be bit-identical — same registers, same selection
-// vectors, same tables, at every parallelism level. Registered under both
-// the `differential` and `concurrency` ctest labels so the TSan CI job
-// exercises the parallel paths.
+// vectors, same tables, at every parallelism level. The query set also runs
+// across the whole vectorized x dictionary x morsel_threads x
+// zone_map_pruning cross-product against the all-oracles point. Registered
+// under both the `differential` and `concurrency` ctest labels so the TSan
+// CI job exercises the parallel paths.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,6 +18,7 @@
 #include "expr/compiler.h"
 #include "expr/parser.h"
 #include "expr_corpus_test_util.h"
+#include "runtime/engine_config.h"
 #include "sql/engine.h"
 #include "transforms/transforms.h"
 
@@ -24,35 +27,23 @@ namespace {
 
 using data::TablePtr;
 using data::Value;
+using runtime::EngineConfig;
+using runtime::ScopedEngineConfig;
 using testutil::SameCell;
 
-/// Pin the morsel configuration for one test and restore defaults after.
-/// Small odd morsels + forced parallelism make even small tables span many
-/// morsels with short boundary chunks, on any machine (including 1-core CI).
-class MorselConfigGuard {
- public:
-  MorselConfigGuard(size_t morsel_rows, size_t threads)
-      : saved_rows_(parallel::MorselRows()),
-        saved_enabled_(parallel::MorselParallelEnabled()) {
-    parallel::SetMorselRows(morsel_rows);
-    parallel::SetMorselParallelism(threads);
-    parallel::SetMorselParallelEnabled(true);
-  }
-  ~MorselConfigGuard() {
-    parallel::SetMorselParallelEnabled(saved_enabled_);
-    parallel::SetMorselParallelism(0);  // 0 = hardware default (no getter for
-                                        // the raw setting; tests always run
-                                        // from the default)
-    parallel::SetMorselRows(saved_rows_);
-  }
-
- private:
-  size_t saved_rows_;
-  bool saved_enabled_;
-};
+/// The ambient configuration with the morsel knobs pinned. Small odd
+/// morsels + forced parallelism make even small tables span many morsels
+/// with short boundary chunks, on any machine (including 1-core CI);
+/// threads = 1 is the serial reference path.
+EngineConfig MorselConfig(size_t morsel_rows, size_t threads) {
+  EngineConfig cfg = EngineConfig::Current();
+  cfg.morsel_rows = morsel_rows;
+  cfg.morsel_threads = threads;
+  return cfg;
+}
 
 TEST(MorselDiffTest, CorpusRegistersMatchSingleThreaded) {
-  MorselConfigGuard guard(/*morsel_rows=*/257, /*threads=*/4);
+  ScopedEngineConfig scoped(MorselConfig(/*morsel_rows=*/257, /*threads=*/4));
   TablePtr table = testutil::MakeRandomExprTable(7, /*rows=*/2000);
   size_t compiled = 0;
   for (const std::string& text : testutil::BuildExprCorpus()) {
@@ -76,7 +67,7 @@ TEST(MorselDiffTest, CorpusRegistersMatchSingleThreaded) {
 }
 
 TEST(MorselDiffTest, FilterSelectionsMatchSingleThreaded) {
-  MorselConfigGuard guard(/*morsel_rows=*/311, /*threads=*/4);
+  ScopedEngineConfig scoped(MorselConfig(/*morsel_rows=*/311, /*threads=*/4));
   TablePtr table = testutil::MakeRandomExprTable(23, /*rows=*/5000);
   const char* predicates[] = {
       "datum.dd > 0",                      // fused fast path per morsel
@@ -112,6 +103,12 @@ class MorselQueryDiffTest : public ::testing::Test {
     return result.ok() ? result->table : nullptr;
   }
 
+  /// `sql` at 1024-row morsels on `threads` workers.
+  data::TablePtr RunAt(const char* sql, size_t threads) {
+    ScopedEngineConfig scoped(MorselConfig(/*morsel_rows=*/1024, threads));
+    return Run(sql);
+  }
+
   TablePtr table_;
   sql::Engine engine_;
 };
@@ -134,45 +131,6 @@ const char* kQueries[] = {
     "SELECT MONTH(tt) AS m, COUNT(*) AS n FROM t GROUP BY MONTH(tt) ORDER BY m",
 };
 
-// Group-by / filter / projection queries over a table spanning many morsels
-// produce bit-identical tables with morsel parallelism on and off.
-TEST_F(MorselQueryDiffTest, QueriesMatchKillSwitchPath) {
-  MorselConfigGuard guard(/*morsel_rows=*/1024, /*threads=*/4);
-  for (const char* sql : kQueries) {
-    parallel::SetMorselParallelEnabled(true);
-    data::TablePtr on = Run(sql);
-    parallel::SetMorselParallelEnabled(false);
-    data::TablePtr off = Run(sql);
-    parallel::SetMorselParallelEnabled(true);
-    ASSERT_NE(on, nullptr) << sql;
-    ASSERT_NE(off, nullptr) << sql;
-    ASSERT_TRUE(on->Equals(*off))
-        << sql << "\nparallel:\n" << on->ToString(8)
-        << "single:\n" << off->ToString(8);
-  }
-}
-
-// The chunked aggregation merge is also exercised on the scalar interpreter
-// path (vectorization off): determinism must not depend on the compiler.
-TEST_F(MorselQueryDiffTest, ScalarPathQueriesMatchKillSwitchPath) {
-  struct VectorizedOffGuard {
-    VectorizedOffGuard() { expr::SetVectorizedEnabled(false); }
-    ~VectorizedOffGuard() { expr::SetVectorizedEnabled(true); }
-  };
-  MorselConfigGuard guard(/*morsel_rows=*/1024, /*threads=*/4);
-  VectorizedOffGuard vectorized_off;  // restored even when an ASSERT bails out
-  for (const char* sql : kQueries) {
-    parallel::SetMorselParallelEnabled(true);
-    data::TablePtr on = Run(sql);
-    parallel::SetMorselParallelEnabled(false);
-    data::TablePtr off = Run(sql);
-    parallel::SetMorselParallelEnabled(true);
-    ASSERT_NE(on, nullptr) << sql;
-    ASSERT_NE(off, nullptr) << sql;
-    ASSERT_TRUE(on->Equals(*off)) << sql;
-  }
-}
-
 // Results are invariant across parallelism levels: chunk boundaries are a
 // function of the data shape, never the thread count.
 TEST_F(MorselQueryDiffTest, ResultsInvariantAcrossParallelismLevels) {
@@ -181,8 +139,7 @@ TEST_F(MorselQueryDiffTest, ResultsInvariantAcrossParallelismLevels) {
       "FROM t WHERE dd IS NOT NULL GROUP BY ii ORDER BY ii";
   data::TablePtr reference;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    MorselConfigGuard guard(/*morsel_rows=*/1024, threads);
-    data::TablePtr result = Run(sql);
+    data::TablePtr result = RunAt(sql, threads);
     ASSERT_NE(result, nullptr) << threads << " threads";
     if (!reference) {
       reference = result;
@@ -190,14 +147,28 @@ TEST_F(MorselQueryDiffTest, ResultsInvariantAcrossParallelismLevels) {
       ASSERT_TRUE(result->Equals(*reference)) << threads << " threads";
     }
   }
+
+  // Current() snapshots the configured thread count (0 = hardware), not the
+  // count it resolves to, so Current().Apply() is an identity and a scope
+  // restores "0" rather than pinning this machine's core count.
+  ScopedEngineConfig hardware(MorselConfig(/*morsel_rows=*/1024, 0));
+  EngineConfig::Current().Apply();
+  EXPECT_EQ(EngineConfig::Current().morsel_threads, 0u);
+  {
+    ScopedEngineConfig pinned(MorselConfig(/*morsel_rows=*/1024, 3));
+    EXPECT_EQ(EngineConfig::Current().morsel_threads, 3u);
+    EXPECT_EQ(parallel::EffectiveParallelism(), 3u);
+  }
+  EXPECT_EQ(EngineConfig::Current().morsel_threads, 0u);
 }
 
 // The dataflow transforms ride the same morsel paths.
-TEST_F(MorselQueryDiffTest, TransformsMatchKillSwitchPath) {
-  MorselConfigGuard guard(/*morsel_rows=*/1024, /*threads=*/4);
+TEST_F(MorselQueryDiffTest, TransformsMatchSerialPath) {
   expr::MapSignalResolver signals;
 
-  auto run_transform = [&](dataflow::Operator& op) -> data::TablePtr {
+  auto run_transform = [&](dataflow::Operator& op,
+                           size_t threads) -> data::TablePtr {
+    ScopedEngineConfig scoped(MorselConfig(/*morsel_rows=*/1024, threads));
     auto result = op.Evaluate(table_, signals);
     EXPECT_TRUE(result.ok()) << result.status();
     return result.ok() ? result->table : nullptr;
@@ -207,11 +178,8 @@ TEST_F(MorselQueryDiffTest, TransformsMatchKillSwitchPath) {
     auto pred = expr::ParseExpression("datum.dd > 0 && datum.ii <= 5");
     ASSERT_TRUE(pred.ok());
     transforms::FilterOp filter(*pred);
-    parallel::SetMorselParallelEnabled(true);
-    data::TablePtr on = run_transform(filter);
-    parallel::SetMorselParallelEnabled(false);
-    data::TablePtr off = run_transform(filter);
-    parallel::SetMorselParallelEnabled(true);
+    data::TablePtr on = run_transform(filter, 4);
+    data::TablePtr off = run_transform(filter, 1);
     ASSERT_NE(on, nullptr);
     ASSERT_NE(off, nullptr);
     ASSERT_TRUE(on->Equals(*off));
@@ -225,16 +193,76 @@ TEST_F(MorselQueryDiffTest, TransformsMatchKillSwitchPath) {
     params.ops = {transforms::VegaAggOp::kMean, transforms::VegaAggOp::kStdev,
                   transforms::VegaAggOp::kSum, transforms::VegaAggOp::kMax};
     transforms::AggregateOp agg(params);
-    parallel::SetMorselParallelEnabled(true);
-    data::TablePtr on = run_transform(agg);
-    parallel::SetMorselParallelEnabled(false);
-    data::TablePtr off = run_transform(agg);
-    parallel::SetMorselParallelEnabled(true);
+    data::TablePtr on = run_transform(agg, 4);
+    data::TablePtr off = run_transform(agg, 1);
     ASSERT_NE(on, nullptr);
     ASSERT_NE(off, nullptr);
     ASSERT_TRUE(on->Equals(*off));
   }
 }
+
+// ---- Configuration cross-product ----
+//
+// Every kQueries entry at every point of vectorized x dictionary x
+// morsel_threads {1, 4} x zone_map_pruning (16 points, 1024-row morsels)
+// must equal the all-oracles reference point: scalar interpreter, flat
+// strings, serial morsels, no pruning. Dictionary encoding is decided when
+// a table is built, so each encoding gets its own table.
+
+class ConfigCrossProductTest : public ::testing::TestWithParam<size_t> {};
+
+EngineConfig PointConfig(bool vectorized, bool dictionary, size_t threads,
+                         bool pruning) {
+  EngineConfig cfg = MorselConfig(/*morsel_rows=*/1024, threads);
+  cfg.vectorized = vectorized;
+  cfg.dictionary_encoding = dictionary;
+  cfg.zone_map_pruning = pruning;
+  return cfg;
+}
+
+TEST_P(ConfigCrossProductTest, EveryPointMatchesReference) {
+  const char* sql = kQueries[GetParam()];
+  sql::Engine engines[2];  // indexed by dictionary_encoding
+  for (bool dictionary : {false, true}) {
+    ScopedEngineConfig scoped(PointConfig(true, dictionary, 1, true));
+    engines[dictionary].RegisterTable(
+        "t", testutil::MakeRandomExprTable(31, /*rows=*/30000));
+  }
+  auto run = [&](const EngineConfig& cfg) -> data::TablePtr {
+    ScopedEngineConfig scoped(cfg);
+    auto result = engines[cfg.dictionary_encoding].Query(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
+    return result.ok() ? result->table : nullptr;
+  };
+
+  data::TablePtr reference = run(PointConfig(false, false, 1, false));
+  ASSERT_NE(reference, nullptr);
+  for (bool vectorized : {false, true}) {
+    for (bool dictionary : {false, true}) {
+      for (size_t threads : {1u, 4u}) {
+        for (bool pruning : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << sql << " vectorized=" << vectorized
+                       << " dictionary=" << dictionary
+                       << " threads=" << threads << " pruning=" << pruning);
+          data::TablePtr result =
+              run(PointConfig(vectorized, dictionary, threads, pruning));
+          ASSERT_NE(result, nullptr);
+          EXPECT_TRUE(result->Equals(*reference))
+              << "point:\n" << result->ToString(8)
+              << "reference:\n" << reference->ToString(8);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Queries, ConfigCrossProductTest,
+    ::testing::Range<size_t>(0, sizeof(kQueries) / sizeof(kQueries[0])),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return "query" + std::to_string(info.param);
+    });
 
 }  // namespace
 }  // namespace vegaplus

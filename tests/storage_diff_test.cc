@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/str_util.h"
 #include "data/ipc.h"
 #include "data/stats.h"
@@ -41,50 +40,23 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "vps_storage_diff_" + name;
 }
 
-/// Pin the morsel configuration for one test; restore defaults after.
-class MorselConfigGuard {
- public:
-  MorselConfigGuard(size_t morsel_rows, size_t threads)
-      : saved_rows_(parallel::MorselRows()),
-        saved_enabled_(parallel::MorselParallelEnabled()) {
-    parallel::SetMorselRows(morsel_rows);
-    parallel::SetMorselParallelism(threads);
-    parallel::SetMorselParallelEnabled(true);
-  }
-  ~MorselConfigGuard() {
-    parallel::SetMorselParallelEnabled(saved_enabled_);
-    parallel::SetMorselParallelism(0);
-    parallel::SetMorselRows(saved_rows_);
-  }
+using runtime::EngineConfig;
+using runtime::ScopedEngineConfig;
 
- private:
-  size_t saved_rows_;
-  bool saved_enabled_;
-};
+/// The ambient configuration with the morsel knobs pinned.
+EngineConfig MorselConfig(size_t morsel_rows, size_t threads) {
+  EngineConfig cfg = EngineConfig::Current();
+  cfg.morsel_rows = morsel_rows;
+  cfg.morsel_threads = threads;
+  return cfg;
+}
 
-class PruningGuard {
- public:
-  explicit PruningGuard(bool enabled)
-      : saved_(storage::ZoneMapPruningEnabled()) {
-    storage::SetZoneMapPruningEnabled(enabled);
-  }
-  ~PruningGuard() { storage::SetZoneMapPruningEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-class DictEncodingGuard {
- public:
-  explicit DictEncodingGuard(bool enabled)
-      : saved_(data::DictionaryEncodingEnabled()) {
-    data::SetDictionaryEncodingEnabled(enabled);
-  }
-  ~DictEncodingGuard() { data::SetDictionaryEncodingEnabled(saved_); }
-
- private:
-  bool saved_;
-};
+/// The ambient configuration with zone-map pruning set to `enabled`.
+EngineConfig PruningConfig(bool enabled) {
+  EngineConfig cfg = EngineConfig::Current();
+  cfg.zone_map_pruning = enabled;
+  return cfg;
+}
 
 /// A clustered table where zone maps actually exclude: `x` is monotone over
 /// the rows (so chunk/morsel ranges are disjoint), `cat` cycles through a
@@ -122,7 +94,9 @@ TablePtr MakeClusteredTable(size_t rows) {
 
 TEST(StorageRoundTripTest, ShardRoundTripsBitIdentically) {
   for (bool dict : {true, false}) {
-    DictEncodingGuard guard(dict);
+    EngineConfig cfg = EngineConfig::Current();
+    cfg.dictionary_encoding = dict;
+    ScopedEngineConfig scoped(cfg);
     TablePtr table = testutil::MakeRandomExprTable(11, /*rows=*/5000);
     const std::string path =
         TempPath(dict ? "roundtrip_dict.vps" : "roundtrip_flat.vps");
@@ -236,9 +210,9 @@ class StorageDiffTest : public ::testing::Test {
 // shard-backed engine must match the in-memory engine bit for bit.
 TEST_F(StorageDiffTest, ShardAnswersQueriesBitIdenticallyAcrossThreads) {
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    MorselConfigGuard guard(/*morsel_rows=*/1024, threads);
+    ScopedEngineConfig morsels(MorselConfig(/*morsel_rows=*/1024, threads));
     for (bool pruning : {true, false}) {
-      PruningGuard pruning_guard(pruning);
+      ScopedEngineConfig scoped(PruningConfig(pruning));
       for (const char* sql : kShardQueries) {
         TablePtr want = Run(mem_engine_, sql);
         TablePtr got = Run(shard_engine_, sql);
@@ -281,14 +255,14 @@ TEST_F(StorageDiffTest, SelectiveBrushPrunesChunksWithZeroDivergence) {
     const uint64_t pruned_before = storage::ChunksPruned();
     TablePtr on;
     {
-      PruningGuard guard(true);
+      ScopedEngineConfig scoped(PruningConfig(true));
       on = Run(shard, sql);
     }
     const uint64_t pruned_delta = storage::ChunksPruned() - pruned_before;
     (*reader)->EvictAll();
     TablePtr off;
     {
-      PruningGuard guard(false);
+      ScopedEngineConfig scoped(PruningConfig(false));
       off = Run(shard, sql);
     }
     TablePtr want = Run(mem, sql);
@@ -315,7 +289,7 @@ TEST(StorageMorselPruningTest, InMemoryMorselPruningMatchesUnpruned) {
       "datum.x > 5000 && datum.x <= 6000 && datum.cat != 'run_0'",
   };
   for (size_t threads : {1u, 4u}) {
-    MorselConfigGuard guard(/*morsel_rows=*/512, threads);
+    ScopedEngineConfig morsels(MorselConfig(/*morsel_rows=*/512, threads));
     for (const char* text : predicates) {
       auto parsed = expr::ParseExpression(text);
       ASSERT_TRUE(parsed.ok()) << text;
@@ -326,12 +300,12 @@ TEST(StorageMorselPruningTest, InMemoryMorselPruningMatchesUnpruned) {
       const uint64_t pruned_before = storage::MorselsPruned();
       std::vector<int32_t> on, off;
       {
-        PruningGuard pruning(true);
+        ScopedEngineConfig scoped(PruningConfig(true));
         expr::RunFilterMorselParallel(*table, *program, &on);
       }
       const uint64_t pruned_delta = storage::MorselsPruned() - pruned_before;
       {
-        PruningGuard pruning(false);
+        ScopedEngineConfig scoped(PruningConfig(false));
         expr::RunFilterMorselParallel(*table, *program, &off);
       }
       EXPECT_EQ(on, off) << text << " threads=" << threads;
