@@ -1577,26 +1577,24 @@ struct PosEq {
 
 constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
 
-/// Dense-code grouping for a single code-backed key: the dictionary bounds
-/// the key domain, so `code -> group id` is a direct array lookup — no hash
-/// map, no hashing pass. Slot 0 holds null (code -1). First-seen group order
-/// is a property of the scan (and, in the parallel branch, of the chunk
-/// merge), so the result is identical to the generic hash path and to the
-/// flat-string path for the same cell values.
-GroupResult BuildGroupsByCodes(const Vec& key, const std::vector<int32_t>& rows,
-                               const std::vector<parallel::Range>& chunks) {
+/// Dense grouping over a bounded slot domain: `slot_of(pos)` maps each
+/// position in `rows` to one of `slots` key slots, and `slot -> group id` is
+/// a direct array lookup — no hash map, no hashing pass. First-seen group
+/// order is a property of the scan (and, in the parallel branch, of the
+/// chunk merge), so the result is identical to the generic hash path for the
+/// same key equality.
+template <typename SlotOf>
+GroupResult BuildDenseGroups(const std::vector<int32_t>& rows,
+                             const std::vector<parallel::Range>& chunks,
+                             size_t slots, const SlotOf& slot_of) {
   GroupResult result;
   const size_t n = rows.size();
   result.group_of.resize(n);
-  const int32_t* codes = key.codes.data();
-  const size_t slots = key.dict->values.size() + 1;
 
   if (!MorselWorthIt(chunks.size())) {
-    std::vector<uint32_t> gid_of_code(slots, kNoGroup);
+    std::vector<uint32_t> gid_of_slot(slots, kNoGroup);
     for (size_t pos = 0; pos < n; ++pos) {
-      const size_t slot =
-          static_cast<size_t>(codes[static_cast<size_t>(rows[pos])] + 1);
-      uint32_t& gid = gid_of_code[slot];
+      uint32_t& gid = gid_of_slot[slot_of(pos)];
       if (gid == kNoGroup) {
         gid = static_cast<uint32_t>(result.rep_rows.size());
         result.rep_rows.push_back(rows[pos]);
@@ -1612,12 +1610,10 @@ GroupResult BuildGroupsByCodes(const Vec& key, const std::vector<int32_t>& rows,
       chunks.size(), std::vector<uint32_t>(slots, kNoGroup));
   std::vector<std::vector<uint32_t>> chunk_reps(chunks.size());
   parallel::ParallelFor(chunks.size(), [&](size_t c) {
-    std::vector<uint32_t>& gid_of_code = chunk_gid[c];
+    std::vector<uint32_t>& gid_of_slot = chunk_gid[c];
     std::vector<uint32_t>& reps = chunk_reps[c];
     for (size_t pos = chunks[c].begin; pos < chunks[c].end; ++pos) {
-      const size_t slot =
-          static_cast<size_t>(codes[static_cast<size_t>(rows[pos])] + 1);
-      uint32_t& gid = gid_of_code[slot];
+      uint32_t& gid = gid_of_slot[slot_of(pos)];
       if (gid == kNoGroup) {
         gid = static_cast<uint32_t>(reps.size());
         reps.push_back(static_cast<uint32_t>(pos));
@@ -1631,9 +1627,7 @@ GroupResult BuildGroupsByCodes(const Vec& key, const std::vector<int32_t>& rows,
     remap[c].resize(chunk_reps[c].size());
     for (size_t k = 0; k < chunk_reps[c].size(); ++k) {
       const uint32_t pos = chunk_reps[c][k];
-      const size_t slot =
-          static_cast<size_t>(codes[static_cast<size_t>(rows[pos])] + 1);
-      uint32_t& gid = global_gid[slot];
+      uint32_t& gid = global_gid[slot_of(pos)];
       if (gid == kNoGroup) {
         gid = static_cast<uint32_t>(result.rep_rows.size());
         result.rep_rows.push_back(rows[pos]);
@@ -1649,7 +1643,72 @@ GroupResult BuildGroupsByCodes(const Vec& key, const std::vector<int32_t>& rows,
   return result;
 }
 
+/// Whether `slots`-wide dense tables (one per chunk plus the merge table)
+/// are cheaper than hashing `n` positions.
+bool DenseTablesFit(size_t slots, size_t num_chunks, size_t n) {
+  const size_t tables = MorselWorthIt(num_chunks) ? num_chunks + 1 : 1;
+  return slots <= (4 * n + 4096) / tables;
+}
+
 }  // namespace
+
+bool BuildGroupsByBins(const Vec& values, double start, double step,
+                       const std::vector<int32_t>& rows, GroupResult* out) {
+  if (values.kind != RegKind::kNum || values.is_const || !std::isfinite(start) ||
+      !std::isfinite(step) || !(step > 0)) {
+    return false;
+  }
+  const size_t n = rows.size();
+  const std::vector<parallel::Range> chunks = parallel::MorselRanges(n);
+  const double* v = values.num.data();
+  const uint8_t* valid = values.valid.empty() ? nullptr : values.valid.data();
+  // The key expression's own ops, so `index` is exactly its floor() result.
+  const auto index = [&](size_t r) { return std::floor((v[r] - start) / step); };
+
+  // Pass 1: the index range of the valid rows; a non-finite index (NaN or
+  // infinite input, or an overflowing quotient) rejects the plan.
+  struct Span {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    bool finite = true;
+  };
+  std::vector<Span> spans(chunks.size());
+  parallel::ParallelFor(chunks.size(), [&](size_t c) {
+    Span& s = spans[c];
+    for (size_t pos = chunks[c].begin; pos < chunks[c].end; ++pos) {
+      const size_t r = static_cast<size_t>(rows[pos]);
+      if (valid != nullptr && valid[r] == 0) continue;
+      const double k = index(r);
+      if (!std::isfinite(k)) {
+        s.finite = false;
+        return;
+      }
+      s.lo = std::min(s.lo, k);
+      s.hi = std::max(s.hi, k);
+    }
+  });
+  Span all;
+  for (const Span& s : spans) {
+    if (!s.finite) return false;
+    all.lo = std::min(all.lo, s.lo);
+    all.hi = std::max(all.hi, s.hi);
+  }
+  // Slot 0 is the null bin; slot k - lo + 1 is bin index k. Integral
+  // doubles a few thousand apart subtract exactly, so slots are distinct
+  // per index. The span is bounded as a double first so the cast is safe.
+  const double width = all.lo <= all.hi ? all.hi - all.lo + 1 : 0;
+  if (!(width <= static_cast<double>(n) * 4 + 4096)) return false;
+  const size_t slots = static_cast<size_t>(width) + 1;
+  if (!DenseTablesFit(slots, chunks.size(), n)) return false;
+
+  const double lo = all.lo;
+  *out = BuildDenseGroups(rows, chunks, slots, [&](size_t pos) -> size_t {
+    const size_t r = static_cast<size_t>(rows[pos]);
+    if (valid != nullptr && valid[r] == 0) return 0;
+    return static_cast<size_t>(index(r) - lo) + 1;
+  });
+  return true;
+}
 
 GroupResult BuildGroups(const std::vector<const Vec*>& keys,
                         const std::vector<int32_t>& rows) {
@@ -1670,9 +1729,12 @@ GroupResult BuildGroups(const std::vector<const Vec*>& keys,
   if (keys.size() == 1 && keys[0]->kind == RegKind::kStr && keys[0]->dict &&
       !keys[0]->is_const) {
     const size_t slots = keys[0]->dict->values.size() + 1;
-    const size_t tables = MorselWorthIt(chunks.size()) ? chunks.size() + 1 : 1;
-    if (slots * tables <= 4 * n + 4096) {
-      return BuildGroupsByCodes(*keys[0], rows, chunks);
+    if (DenseTablesFit(slots, chunks.size(), n)) {
+      // Slot 0 holds null (code -1).
+      const int32_t* codes = keys[0]->codes.data();
+      return BuildDenseGroups(rows, chunks, slots, [&](size_t pos) {
+        return static_cast<size_t>(codes[static_cast<size_t>(rows[pos])] + 1);
+      });
     }
   }
 

@@ -307,6 +307,18 @@ struct GroupResult {
 GroupResult BuildGroups(const std::vector<const Vec*>& keys,
                         const std::vector<int32_t>& rows);
 
+/// Group `rows` of a numeric register by bin index
+///   k = floor((v - start) / step)
+/// (the ops of the rewriter's bin expression), nulls forming one group:
+/// chunk-local dense tables merged in chunk order, so group ids and
+/// representative rows follow the same first-seen order as BuildGroups.
+/// Equal indices give equal bin values; callers must still check that
+/// distinct indices give distinct values. Returns false, leaving `out`
+/// unspecified, when a selected value bins to a non-finite index or the
+/// index span is too wide for dense tables.
+bool BuildGroupsByBins(const Vec& values, double start, double step,
+                       const std::vector<int32_t>& rows, GroupResult* out);
+
 // ---- Per-bin accumulation kernels (tile builds) ----
 //
 // The tile store precomputes, per zoom level, one slot per bin holding

@@ -29,11 +29,11 @@ bool IsPassthroughFilter(const SelectStmt& sub) {
          sub.limit < 0 && sub.offset == 0;
 }
 
-// Sub is "SELECT *, e1 AS n1, ... FROM X" with nothing else? Collect the
-// computed items.
+// Sub is "SELECT *, e1 AS n1, ... FROM X [WHERE c]" with nothing else?
+// Collect the computed items.
 bool IsProjectionExtension(const SelectStmt& sub,
                            std::map<std::string, NodePtr>* computed) {
-  if (sub.where != nullptr || !sub.group_by.empty() || sub.having != nullptr ||
+  if (!sub.group_by.empty() || sub.having != nullptr ||
       !sub.order_by.empty() || sub.limit >= 0 || sub.offset != 0) {
     return false;
   }
@@ -46,15 +46,43 @@ bool IsProjectionExtension(const SelectStmt& sub,
   return true;
 }
 
-void SubstituteInStmt(SelectStmt* stmt, const std::map<std::string, NodePtr>& bindings) {
-  auto subst = [&bindings](const NodePtr& e) {
-    NodePtr out = e;
-    for (const auto& [name, replacement] : bindings) {
-      out = SubstituteColumn(out, name, replacement);
-    }
+// Replace every column reference named in `bindings` in one pass, so a
+// replacement is never itself rewritten by a later binding (a computed item
+// may read a base column that shares another item's alias).
+NodePtr SubstituteColumns(const NodePtr& node,
+                          const std::map<std::string, NodePtr>& bindings) {
+  if (!node) return node;
+  std::string col;
+  if (IsColumnRef(node, &col)) {
+    auto it = bindings.find(col);
+    return it == bindings.end() ? node : it->second;
+  }
+  // Rebuild children when any changed.
+  auto copy = std::make_shared<Node>(*node);
+  bool changed = false;
+  auto visit = [&](const NodePtr& child) {
+    NodePtr out = SubstituteColumns(child, bindings);
+    if (out != child) changed = true;
     return out;
   };
+  copy->a = visit(node->a);
+  copy->b = visit(node->b);
+  copy->c = visit(node->c);
+  for (size_t i = 0; i < copy->args.size(); ++i) {
+    copy->args[i] = visit(node->args[i]);
+  }
+  return changed ? NodePtr(copy) : node;
+}
+
+void SubstituteInStmt(SelectStmt* stmt, const std::map<std::string, NodePtr>& bindings) {
+  auto subst = [&bindings](const NodePtr& e) { return SubstituteColumns(e, bindings); };
   for (SelectItem& item : stmt->items) {
+    // A bare `n` output keeps its name once it reads `e` instead.
+    std::string col;
+    if (item.kind == SelectItem::Kind::kExpr && item.alias.empty() &&
+        IsColumnRef(item.expr, &col) && bindings.count(col) > 0) {
+      item.alias = col;
+    }
     if (item.expr) item.expr = subst(item.expr);
     if (item.agg_arg) item.agg_arg = subst(item.agg_arg);
     if (item.window.arg) item.window.arg = subst(item.window.arg);
@@ -77,28 +105,23 @@ bool OuterHasStar(const SelectStmt& stmt) {
   return false;
 }
 
+// Replace the FROM subquery by its own FROM, ANDing its WHERE ahead of the
+// outer one.
+void MergeInner(SelectStmt* stmt) {
+  const std::shared_ptr<const SelectStmt> inner = stmt->from.subquery;
+  if (inner->where) {
+    stmt->where = stmt->where
+                      ? Node::Binary(expr::BinaryOp::kAnd, inner->where, stmt->where)
+                      : inner->where;
+  }
+  stmt->from = inner->from;
+}
+
 }  // namespace
 
 expr::NodePtr SubstituteColumn(const NodePtr& node, const std::string& name,
                                const NodePtr& replacement) {
-  if (!node) return node;
-  std::string col;
-  if (IsColumnRef(node, &col) && col == name) return replacement;
-  // Rebuild children when any changed.
-  auto copy = std::make_shared<Node>(*node);
-  bool changed = false;
-  auto visit = [&](const NodePtr& child) {
-    NodePtr out = SubstituteColumn(child, name, replacement);
-    if (out != child) changed = true;
-    return out;
-  };
-  copy->a = visit(node->a);
-  copy->b = visit(node->b);
-  copy->c = visit(node->c);
-  for (size_t i = 0; i < copy->args.size(); ++i) {
-    copy->args[i] = visit(node->args[i]);
-  }
-  return changed ? NodePtr(copy) : node;
+  return SubstituteColumns(node, {{name, replacement}});
 }
 
 std::shared_ptr<SelectStmt> CloneStmt(const SelectStmt& stmt) {
@@ -123,25 +146,19 @@ void FlattenStmt(SelectStmt* stmt) {
 
     // R1: merge a pass-through filter subquery.
     if (IsPassthroughFilter(inner)) {
-      sql::TableRef new_from = inner.from;
-      expr::NodePtr inner_where = inner.where;
-      if (inner_where) {
-        stmt->where = stmt->where
-                          ? Node::Binary(expr::BinaryOp::kAnd, inner_where, stmt->where)
-                          : inner_where;
-      }
-      stmt->from = new_from;
+      MergeInner(stmt);
       changed = true;
       continue;
     }
 
     // R2: inline a projection-extension subquery (bin/formula/timeunit).
+    // Its WHERE reads base columns only, so it joins the outer WHERE (after
+    // substitution) unchanged.
     std::map<std::string, NodePtr> computed;
     if (!OuterHasStar(*stmt) && IsProjectionExtension(inner, &computed) &&
         !computed.empty()) {
-      sql::TableRef new_from = inner.from;
       SubstituteInStmt(stmt, computed);
-      stmt->from = new_from;
+      MergeInner(stmt);
       changed = true;
       continue;
     }

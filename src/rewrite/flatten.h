@@ -5,9 +5,11 @@
 //   R1 (filter merge): SELECT <items> FROM (SELECT * FROM X WHERE c1) WHERE c2
 //       -> SELECT <items> FROM X WHERE c1 AND c2       (sub has no extras)
 //   R2 (projection inline): subquery of the shape
-//       SELECT *, e1 AS n1, ..., ek AS nk FROM X        (no WHERE/GROUP/...)
-//       is inlined by substituting n1..nk with e1..ek in the outer query.
-//       This is what merges bin into the aggregate query (Example 4.1).
+//       SELECT *, e1 AS n1, ..., ek AS nk FROM X [WHERE c]  (no GROUP/...)
+//       under an outer query without `*` is inlined by substituting n1..nk
+//       with e1..ek in the outer query; c joins the outer WHERE as
+//       `c AND outer_where`. This is what merges bin into the aggregate
+//       query (Example 4.1), brushed or not.
 #ifndef VEGAPLUS_REWRITE_FLATTEN_H_
 #define VEGAPLUS_REWRITE_FLATTEN_H_
 

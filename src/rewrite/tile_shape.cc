@@ -1,7 +1,6 @@
 #include "rewrite/tile_shape.h"
 
-#include <algorithm>
-#include <cctype>
+#include "expr/bin_expr.h"
 
 namespace vegaplus {
 namespace rewrite {
@@ -9,27 +8,13 @@ namespace rewrite {
 namespace {
 
 using expr::BinaryOp;
-using expr::Node;
+using expr::MatchBinExpr;
 using expr::NodeKind;
 using expr::NodePtr;
+using expr::NumericLiteral;
 using sql::AggOp;
 using sql::SelectItem;
 using sql::SelectStmt;
-
-bool NumericLiteral(const NodePtr& node, double* v) {
-  if (node == nullptr) return false;
-  if (node->kind == NodeKind::kUnary && node->unary_op == expr::UnaryOp::kNeg) {
-    double inner;
-    if (!NumericLiteral(node->a, &inner)) return false;
-    *v = -inner;
-    return true;
-  }
-  if (node->kind != NodeKind::kLiteral || !node->literal.is_numeric()) {
-    return false;
-  }
-  *v = node->literal.AsDouble();
-  return true;
-}
 
 bool DatumMember(const NodePtr& node, std::string* column) {
   if (node == nullptr || node->kind != NodeKind::kMember) return false;
@@ -95,51 +80,6 @@ bool FoldWhere(const NodePtr& node, TileShape* shape) {
 }
 
 }  // namespace
-
-bool MatchBinExpr(const NodePtr& node, std::string* column, double* start,
-                  double* step) {
-  // A + (floor((datum.col - A) / S) * S)
-  if (node == nullptr || node->kind != NodeKind::kBinary ||
-      node->binary_op != BinaryOp::kAdd) {
-    return false;
-  }
-  double a0;
-  if (!NumericLiteral(node->a, &a0)) return false;
-  const NodePtr& mul = node->b;
-  if (mul == nullptr || mul->kind != NodeKind::kBinary ||
-      mul->binary_op != BinaryOp::kMul) {
-    return false;
-  }
-  double s0;
-  if (!NumericLiteral(mul->b, &s0) || !(s0 > 0)) return false;
-  const NodePtr& call = mul->a;
-  if (call == nullptr || call->kind != NodeKind::kCall ||
-      call->args.size() != 1) {
-    return false;
-  }
-  std::string fn = call->name;
-  std::transform(fn.begin(), fn.end(), fn.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (fn != "floor") return false;
-  const NodePtr& div = call->args[0];
-  if (div == nullptr || div->kind != NodeKind::kBinary ||
-      div->binary_op != BinaryOp::kDiv) {
-    return false;
-  }
-  double s1;
-  if (!NumericLiteral(div->b, &s1) || s1 != s0) return false;
-  const NodePtr& sub = div->a;
-  if (sub == nullptr || sub->kind != NodeKind::kBinary ||
-      sub->binary_op != BinaryOp::kSub) {
-    return false;
-  }
-  double a1;
-  if (!NumericLiteral(sub->b, &a1) || a1 != a0) return false;
-  if (!DatumMember(sub->a, column)) return false;
-  *start = a0;
-  *step = s0;
-  return true;
-}
 
 bool MatchTileShape(const SelectStmt& stmt, TileShape* out) {
   TileShape shape;

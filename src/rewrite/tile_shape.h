@@ -9,8 +9,9 @@
 //   [WHERE range-conjunction over the bin column]
 //   GROUP BY <bin0>, <bin1>
 //
-// where bin0 = A + floor((datum.col - A) / S) * S and bin1 = bin0 + S with
-// A/S already bound to literals (BindStatement has run). Covered
+// where bin0 = A + floor((datum.col - A) / S) * S (expr::MatchBinExpr) and
+// bin1 = bin0 + S with A/S already bound to literals (BindStatement has
+// run). Covered
 // (categorical bar chart):
 //
 //   SELECT datum.col, AGG(...)... FROM t GROUP BY datum.col
@@ -63,11 +64,6 @@ struct TileShape {
   };
   std::vector<Item> items;
 };
-
-/// Recognize `A + floor((datum.col - A) / S) * S` with literal A/S (S > 0).
-/// Exposed for the tile store's level matching and for tests.
-bool MatchBinExpr(const expr::NodePtr& node, std::string* column,
-                  double* start, double* step);
 
 /// Match a bound statement against the covered tile shapes. Returns false
 /// (leaving `out` unspecified) when the statement is not covered.

@@ -7,6 +7,7 @@
 #include "common/parallel.h"
 #include "common/str_util.h"
 #include "expr/batch_eval.h"
+#include "expr/bin_expr.h"
 #include "expr/evaluator.h"
 #include "expr/kernels/kernels.h"
 #include "storage/reader.h"
@@ -399,6 +400,48 @@ bool CollectProjectedColumns(const NodePtr& node, std::vector<std::string>* cols
   return ok;
 }
 
+/// Bin-index grouping. When every GROUP BY key is a bin expression over one
+/// column with one start/step, or such an expression plus a literal, the
+/// rows group by integer bin index through dense tables instead of hashing
+/// full-batch key registers, and the keys are evaluated only at each
+/// group's representative row (`key_at_group`, indexed by group id). Equal
+/// indices give equal keys; the check at the end rejects the plan when two
+/// indices give equal keys (a start far larger than the step), so the
+/// groups always match the hash path's. Off with the vectorized engine, so
+/// the hash path stays the reference.
+bool GroupByBinIndex(const std::vector<NodePtr>& group_by, const Table& table,
+                     const std::vector<int32_t>& rows, expr::GroupResult* groups,
+                     std::vector<Vec>* key_at_group) {
+  if (group_by.empty() || !expr::VectorizedEnabled()) return false;
+  expr::BinKey bin;
+  for (size_t i = 0; i < group_by.size(); ++i) {
+    expr::BinKey key;
+    if (!expr::MatchBinKey(group_by[i], &key)) return false;
+    if (i == 0) {
+      bin = key;
+    } else if (key.column != bin.column || key.start != bin.start ||
+               key.step != bin.step) {
+      return false;
+    }
+  }
+  const int idx = table.schema().FieldIndex(bin.column);
+  if (idx < 0) return false;
+  const Column& column = table.column(static_cast<size_t>(idx));
+  if (!expr::BuildGroupsByBins(expr::ColumnVec(column), bin.start, bin.step, rows,
+                               groups)) {
+    return false;
+  }
+  const Table reps(Schema({table.schema().field(static_cast<size_t>(idx))}),
+                   {column.Take(groups->rep_rows)});
+  key_at_group->clear();
+  for (const NodePtr& g : group_by) key_at_group->push_back(EvalVec(g, reps));
+  std::vector<const Vec*> key_ptrs;
+  for (const Vec& v : *key_at_group) key_ptrs.push_back(&v);
+  std::vector<int32_t> all(groups->num_groups());
+  std::iota(all.begin(), all.end(), 0);
+  return expr::BuildGroups(key_ptrs, all).num_groups() == groups->num_groups();
+}
+
 DataType AggResultType(AggOp op, const NodePtr& arg, const Schema& input) {
   switch (op) {
     case AggOp::kCount:
@@ -662,21 +705,29 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
       }
     }
 
-    // Evaluate group keys column-at-a-time (over the gathered table when
-    // fused, else over the full input — unselected rows are computed but
-    // never read), then hash-group the selection. Group keys live once, in
-    // the key registers; groups are ids plus one representative row each.
+    // Bin-shaped keys group by bin index, with key values per group.
+    // Otherwise evaluate group keys column-at-a-time (over the gathered
+    // table when fused, else over the full input — unselected rows are
+    // computed but never read), then hash-group the selection. Group keys
+    // live once, in the key registers; groups are ids plus one
+    // representative row each.
     std::vector<Vec> key_vecs;
-    key_vecs.reserve(stmt.group_by.size());
-    for (const auto& g : stmt.group_by) {
-      key_vecs.push_back(
-          EvalVec(g, *key_input, gathered ? nullptr : &selection, cancel));
+    expr::GroupResult groups;
+    const bool keys_per_group =
+        GroupByBinIndex(stmt.group_by, *key_input, *acc_rows, &groups, &key_vecs);
+    if (!keys_per_group) {
+      key_vecs.clear();
+      key_vecs.reserve(stmt.group_by.size());
+      for (const auto& g : stmt.group_by) {
+        key_vecs.push_back(
+            EvalVec(g, *key_input, gathered ? nullptr : &selection, cancel));
+      }
+      if (common::Fired(cancel)) return bail(cancel->status());
+      std::vector<const Vec*> key_ptrs;
+      key_ptrs.reserve(key_vecs.size());
+      for (const Vec& v : key_vecs) key_ptrs.push_back(&v);
+      groups = expr::BuildGroups(key_ptrs, *acc_rows);
     }
-    if (common::Fired(cancel)) return bail(cancel->status());
-    std::vector<const Vec*> key_ptrs;
-    key_ptrs.reserve(key_vecs.size());
-    for (const Vec& v : key_vecs) key_ptrs.push_back(&v);
-    expr::GroupResult groups = expr::BuildGroups(key_ptrs, *acc_rows);
 
     size_t num_groups = groups.num_groups();
     // Pure aggregation over zero rows still yields one output row.
@@ -751,7 +802,8 @@ Result<TablePtr> ExecuteSelect(const SelectStmt& stmt, const Catalog& catalog,
       if (item_plans[i].is_group_expr) {
         const Vec& key = key_vecs[item_plans[i].group_index];
         for (size_t g = 0; g < groups.num_groups(); ++g) {
-          key.AppendCellTo(static_cast<size_t>(groups.rep_rows[g]), &col);
+          key.AppendCellTo(keys_per_group ? g : static_cast<size_t>(groups.rep_rows[g]),
+                           &col);
         }
       } else {
         for (size_t g = 0; g < num_groups; ++g) {

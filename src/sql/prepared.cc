@@ -1,5 +1,6 @@
 #include "sql/prepared.h"
 
+#include "sql/executor.h"
 #include "sql/sql_parser.h"
 
 namespace vegaplus {
@@ -154,6 +155,81 @@ class Binder {
   Status status_;
 };
 
+bool IsLiteral(const NodePtr& node) {
+  return node != nullptr && node->kind == NodeKind::kLiteral;
+}
+
+/// Constant folding over a bound expression. Every literal-only subtree is
+/// evaluated once, by the scalar interpreter, so the executor sees exactly
+/// the value it would have computed per row; `&&`/`||` with a literal left
+/// operand reduce by JS semantics (`lit || x` is `lit` when truthy, else `x`;
+/// `lit && x` is `x` when truthy, else `lit`). This is what turns a bound
+/// `col BETWEEN LEAST(a, b) AND GREATEST(a, b)` into literal bounds that zone
+/// maps and the fused predicate path understand, and a no-selection click
+/// `(NULL = NULL) OR (col = NULL)` into TRUE.
+///
+/// In a predicate (WHERE/HAVING) only truthiness is observable. Elsewhere the
+/// expression's inferred type names an output column, so a fold applies only
+/// when the literal infers the same type, and `&&`/`||` (whose reduced form
+/// may infer differently) are left as they are.
+NodePtr Fold(const NodePtr& node, bool predicate) {
+  if (node == nullptr) return node;
+  switch (node->kind) {
+    case NodeKind::kUnary:
+    case NodeKind::kBinary:
+    case NodeKind::kTernary:
+    case NodeKind::kCall:
+      break;
+    default:
+      return node;  // literals, identifiers, members, index, arrays
+  }
+  bool changed = false;
+  auto visit = [&](const NodePtr& child) {
+    NodePtr out = Fold(child, predicate);
+    if (out != child) changed = true;
+    return out;
+  };
+  auto copy = std::make_shared<Node>(*node);
+  copy->a = visit(node->a);
+  copy->b = visit(node->b);
+  copy->c = visit(node->c);
+  for (size_t i = 0; i < copy->args.size(); ++i) copy->args[i] = visit(node->args[i]);
+  NodePtr folded = changed ? NodePtr(copy) : node;
+
+  if (predicate && folded->kind == NodeKind::kBinary && IsLiteral(folded->a) &&
+      (folded->binary_op == expr::BinaryOp::kAnd ||
+       folded->binary_op == expr::BinaryOp::kOr)) {
+    const bool truthy = EvalValue(folded->a->literal).Truthy();
+    const bool take_left = (folded->binary_op == expr::BinaryOp::kOr) == truthy;
+    return take_left ? folded->a : folded->b;
+  }
+
+  bool literal_only = true;
+  for (const NodePtr& child : {folded->a, folded->b, folded->c}) {
+    literal_only = literal_only && (child == nullptr || IsLiteral(child));
+  }
+  for (const NodePtr& arg : folded->args) literal_only = literal_only && IsLiteral(arg);
+  // Unknown functions and bad arities stay put, so execution still reports
+  // them instead of silently producing a null.
+  if (!literal_only || !expr::Validate(folded).ok()) return folded;
+  const EvalValue v = expr::Evaluate(folded, expr::EvalContext());
+  if (v.is_array()) return folded;
+  NodePtr lit = Node::Literal(v.scalar());
+  if (!predicate) {
+    const data::Schema no_columns;
+    if (InferType(lit, no_columns) != InferType(folded, no_columns)) return folded;
+  }
+  return lit;
+}
+
+/// Fold a WHERE/HAVING clause; one that folds to a truthy literal keeps
+/// every row, so it is dropped.
+NodePtr FoldPredicate(const NodePtr& node) {
+  NodePtr folded = Fold(node, /*predicate=*/true);
+  if (IsLiteral(folded) && EvalValue(folded->literal).Truthy()) return nullptr;
+  return folded;
+}
+
 }  // namespace
 
 Result<PreparedPtr> PrepareStatement(const std::string& sql_template) {
@@ -168,18 +244,19 @@ Result<PreparedPtr> PrepareStatement(const std::string& sql_template) {
 Result<SelectPtr> BindStatement(const SelectStmt& stmt,
                                 const expr::SignalResolver& params) {
   Binder binder(params);
+  auto bind = [&binder](const NodePtr& e) { return Fold(binder.BindExpr(e), false); };
   auto bound = std::make_shared<SelectStmt>(stmt);
   for (SelectItem& item : bound->items) {
-    item.expr = binder.BindExpr(item.expr);
-    item.agg_arg = binder.BindExpr(item.agg_arg);
-    item.window.arg = binder.BindExpr(item.window.arg);
-    for (NodePtr& p : item.window.partition_by) p = binder.BindExpr(p);
-    for (OrderItem& o : item.window.order_by) o.expr = binder.BindExpr(o.expr);
+    item.expr = bind(item.expr);
+    item.agg_arg = bind(item.agg_arg);
+    item.window.arg = bind(item.window.arg);
+    for (NodePtr& p : item.window.partition_by) p = bind(p);
+    for (OrderItem& o : item.window.order_by) o.expr = bind(o.expr);
   }
-  bound->where = binder.BindExpr(bound->where);
-  for (NodePtr& g : bound->group_by) g = binder.BindExpr(g);
-  bound->having = binder.BindExpr(bound->having);
-  for (OrderItem& o : bound->order_by) o.expr = binder.BindExpr(o.expr);
+  bound->where = FoldPredicate(binder.BindExpr(bound->where));
+  for (NodePtr& g : bound->group_by) g = bind(g);
+  bound->having = FoldPredicate(binder.BindExpr(bound->having));
+  for (OrderItem& o : bound->order_by) o.expr = bind(o.expr);
   if (bound->from.subquery) {
     VP_ASSIGN_OR_RETURN(bound->from.subquery, BindStatement(*bound->from.subquery, params));
   }

@@ -7,7 +7,8 @@
 // text path), including its errors: an unresolved name is a KeyError, an
 // array value used without an index is a TypeError, and numeric values bind
 // as doubles (the SQL parser produces double literals), so bound execution
-// is bit-identical to the fill-and-parse path.
+// is bit-identical to the fill-and-parse path. Binding also folds constants
+// (see BindStatement); the legacy path is left unfolded as the reference.
 #ifndef VEGAPLUS_SQL_PREPARED_H_
 #define VEGAPLUS_SQL_PREPARED_H_
 
@@ -41,7 +42,13 @@ Result<PreparedPtr> PrepareStatement(const std::string& sql_template);
 
 /// Substitute every parameter hole in `stmt` with a literal looked up in
 /// `params`, returning a fully bound statement ready for execution.
-/// Subtrees without holes are shared, not copied.
+/// Subtrees without holes are shared, not copied. Literal-only subtrees are
+/// then folded by the scalar interpreter, and `&&`/`||` with a literal left
+/// operand reduce by JS semantics in WHERE/HAVING, so a bound brush such as
+/// `x BETWEEN LEAST(a, b) AND GREATEST(a, b)` reaches the executor as
+/// literal bounds; a WHERE/HAVING that folds to a truthy literal is dropped.
+/// Outside WHERE/HAVING a fold applies only when it keeps the inferred
+/// output type.
 Result<SelectPtr> BindStatement(const SelectStmt& stmt,
                                 const expr::SignalResolver& params);
 

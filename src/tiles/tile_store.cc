@@ -695,7 +695,7 @@ std::optional<TileAnswer> TileStore::AnswerFromLevel(const SelectStmt& stmt,
   fields.reserve(shape.items.size());
   for (size_t i = 0; i < shape.items.size(); ++i) {
     const TileShape::Item& item = shape.items[i];
-    DataType t;
+    DataType t = DataType::kFloat64;
     switch (item.kind) {
       case TileShape::Item::Kind::kBin0:
       case TileShape::Item::Kind::kBin1:

@@ -9,6 +9,8 @@
 // CI job exercises the parallel paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -129,6 +131,27 @@ const char* kQueries[] = {
     "SELECT ii, SUM(dd) OVER (PARTITION BY bb ORDER BY ii) AS run FROM t "
     "ORDER BY ii, run LIMIT 500",
     "SELECT MONTH(tt) AS m, COUNT(*) AS n FROM t GROUP BY MONTH(tt) ORDER BY m",
+    // Bin-shaped keys (the rewriter's histogram GROUP BY), grouped by bin
+    // index on the vectorized path: finite values with -0.0, denormals and
+    // negatives under a brush, bin start and end keys together.
+    "SELECT -50 + FLOOR((dd - -50) / 2.5) * 2.5 AS b0, "
+    "-50 + FLOOR((dd - -50) / 2.5) * 2.5 + 2.5 AS b1, COUNT(*) AS n, "
+    "SUM(ii) AS s FROM t WHERE dd > -50 AND dd < 50 "
+    "GROUP BY -50 + FLOOR((dd - -50) / 2.5) * 2.5, "
+    "-50 + FLOOR((dd - -50) / 2.5) * 2.5 + 2.5",
+    // Integers landing exactly on bin edges, negative bins, a null bin.
+    "SELECT -2 + FLOOR((ii - -2) / 3) * 3 AS b0, COUNT(*) AS n, MIN(dd) AS lo "
+    "FROM t GROUP BY -2 + FLOOR((ii - -2) / 3) * 3",
+    // Nulls beside -0.0 and a signed-zero start.
+    "SELECT -0 + FLOOR((dd - -0) / 10) * 10 AS b0, COUNT(*) AS n FROM t "
+    "WHERE dd IS NULL OR (dd > -50 AND dd < 50) "
+    "GROUP BY -0 + FLOOR((dd - -0) / 10) * 10",
+    // NaN and +-Inf bin to non-finite indices: hash grouping.
+    "SELECT 0 + FLOOR((dd - 0) / 10) * 10 AS b0, COUNT(*) AS n FROM t "
+    "GROUP BY 0 + FLOOR((dd - 0) / 10) * 10",
+    // A start far larger than the step.
+    "SELECT 1e16 + FLOOR((dd - 1e16) / 1) * 1 AS b0, COUNT(*) AS n FROM t "
+    "WHERE dd > -50 AND dd < 50 GROUP BY 1e16 + FLOOR((dd - 1e16) / 1) * 1",
 };
 
 // Results are invariant across parallelism levels: chunk boundaries are a
@@ -198,6 +221,64 @@ TEST_F(MorselQueryDiffTest, TransformsMatchSerialPath) {
     ASSERT_NE(on, nullptr);
     ASSERT_NE(off, nullptr);
     ASSERT_TRUE(on->Equals(*off));
+  }
+}
+
+// Bin indices that map to one key value must share a group, as they do
+// under hash grouping: near 1e16 doubles are 2 apart, so bins 1.5 wide
+// collide after rounding and the bin-index path must give way.
+TEST(MorselBinGroupingTest, CollidingBinKeysMatchHashGrouping) {
+  constexpr double kStart = 1e16;
+  constexpr double kStep = 1.5;
+  data::Column v(data::DataType::kFloat64);
+  std::vector<double> keys;
+  for (int r = 0; r < 3000; ++r) {
+    if (r % 11 == 0) {
+      v.AppendNull();
+      continue;
+    }
+    const double x = kStart + 2.0 * ((r * 7) % 400);
+    v.AppendDouble(x);
+    keys.push_back(kStart + std::floor((x - kStart) / kStep) * kStep);
+  }
+  // The data really does collide: fewer distinct keys than bin indices.
+  std::vector<double> indices;
+  for (double k : keys) indices.push_back(std::floor((k - kStart) / kStep));
+  auto distinct = [](std::vector<double> xs) {
+    std::sort(xs.begin(), xs.end());
+    return std::unique(xs.begin(), xs.end()) - xs.begin();
+  };
+  std::vector<double> raw_indices;
+  for (int j = 0; j < 400; ++j) raw_indices.push_back(std::floor(2.0 * j / kStep));
+  ASSERT_LT(distinct(keys), distinct(raw_indices));
+
+  std::vector<data::Column> cols;
+  cols.push_back(std::move(v));
+  sql::Engine engine;
+  engine.RegisterTable("c", std::make_shared<data::Table>(
+                                data::Schema({{"v", data::DataType::kFloat64}}),
+                                std::move(cols)));
+  const char* sql =
+      "SELECT 1e16 + FLOOR((v - 1e16) / 1.5) * 1.5 AS b0, "
+      "1e16 + FLOOR((v - 1e16) / 1.5) * 1.5 + 1.5 AS b1, COUNT(*) AS n FROM c "
+      "GROUP BY 1e16 + FLOOR((v - 1e16) / 1.5) * 1.5, "
+      "1e16 + FLOOR((v - 1e16) / 1.5) * 1.5 + 1.5";
+  auto run = [&](bool vectorized, size_t threads) -> data::TablePtr {
+    EngineConfig cfg = MorselConfig(/*morsel_rows=*/256, threads);
+    cfg.vectorized = vectorized;
+    ScopedEngineConfig scoped(cfg);
+    auto result = engine.Query(sql);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result.ok() ? result->table : nullptr;
+  };
+  data::TablePtr reference = run(false, 1);
+  ASSERT_NE(reference, nullptr);
+  EXPECT_EQ(reference->num_rows(), static_cast<size_t>(distinct(keys)) + 1);  // + null
+  for (size_t threads : {1u, 4u}) {
+    data::TablePtr got = run(true, threads);
+    ASSERT_NE(got, nullptr);
+    EXPECT_TRUE(got->Equals(*reference)) << threads << " threads\n"
+                                         << got->ToString(8) << reference->ToString(8);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "rewrite/plan_builder.h"
 #include "rewrite/rewriter.h"
 #include "runtime/plan_executor.h"
+#include "sql/engine.h"
 #include "sql/sql_parser.h"
 
 namespace vegaplus {
@@ -173,6 +174,84 @@ TEST(FlattenTest, ProjectionInlineSkippedWhenOuterHasStar) {
   FlattenStmt(copy.get());
   // Outer star would change schema if inlined; must keep the subquery.
   EXPECT_NE(copy->from.subquery, nullptr);
+}
+
+TEST(FlattenTest, ProjectionInlineCarriesInnerWhere) {
+  // R2 with an inner WHERE: the brush joins the outer WHERE ahead of the
+  // substituted outer predicate, and GROUP BY reads the inlined bin.
+  auto stmt = *sql::ParseSql(
+      "SELECT b, COUNT(*) AS n FROM (SELECT *, FLOOR(a / 2) * 2 AS b FROM t "
+      "WHERE c > 0) AS sub WHERE b < 8 GROUP BY b");
+  auto copy = CloneStmt(*stmt);
+  FlattenStmt(copy.get());
+  EXPECT_EQ(copy->from.subquery, nullptr);
+  EXPECT_EQ(sql::ToSql(*copy),
+            "SELECT (FLOOR((a / 2)) * 2) AS b, COUNT(*) AS n FROM t WHERE ((c > 0) AND "
+            "((FLOOR((a / 2)) * 2) < 8)) GROUP BY (FLOOR((a / 2)) * 2)");
+
+  // No outer WHERE: the inner one carries over alone.
+  auto bare = CloneStmt(**sql::ParseSql(
+      "SELECT b FROM (SELECT *, a * 2 AS b FROM t WHERE a < 5) AS s"));
+  FlattenStmt(bare.get());
+  EXPECT_EQ(sql::ToSql(*bare), "SELECT (a * 2) AS b FROM t WHERE (a < 5)");
+
+  // R1 below R2: a pass-through filter under the projection merges first.
+  auto chain = CloneStmt(**sql::ParseSql(
+      "SELECT b, COUNT(*) AS n FROM (SELECT *, a + 1 AS b FROM (SELECT * FROM t "
+      "WHERE a > 0) AS x WHERE c < 3) AS y GROUP BY b"));
+  FlattenStmt(chain.get());
+  EXPECT_EQ(sql::ToSql(*chain),
+            "SELECT (a + 1) AS b, COUNT(*) AS n FROM t WHERE ((a > 0) AND (c < 3)) "
+            "GROUP BY (a + 1)");
+
+  // An outer `*` still blocks the inline, WHERE or not.
+  auto star = CloneStmt(**sql::ParseSql(
+      "SELECT * FROM (SELECT *, a + 1 AS b FROM t WHERE a > 0) AS sub WHERE b > 2"));
+  FlattenStmt(star.get());
+  EXPECT_NE(star->from.subquery, nullptr);
+}
+
+TEST(FlattenTest, ProjectionInlineSubstitutesAllAliasesAtOnce) {
+  // `z * 2` reads the base column z, not the sibling alias z.
+  auto stmt = CloneStmt(**sql::ParseSql(
+      "SELECT a1, z FROM (SELECT *, z * 2 AS a1, q + 1 AS z FROM t) AS s"));
+  FlattenStmt(stmt.get());
+  EXPECT_EQ(sql::ToSql(*stmt), "SELECT (z * 2) AS a1, (q + 1) AS z FROM t");
+}
+
+TEST(FlattenTest, InlinedInnerWhereExecutesLikeTheNestedQuery) {
+  data::Column a(data::DataType::kFloat64);
+  data::Column c(data::DataType::kFloat64);
+  for (int r = 0; r < 200; ++r) {
+    if (r % 17 == 0) {
+      a.AppendNull();
+    } else {
+      a.AppendDouble((r * 37) % 23 - 11.5);
+    }
+    c.AppendDouble(r % 5 - 2);
+  }
+  std::vector<data::Column> cols;
+  cols.push_back(std::move(a));
+  cols.push_back(std::move(c));
+  sql::Engine engine;
+  engine.RegisterTable(
+      "t", std::make_shared<data::Table>(
+               data::Schema({{"a", data::DataType::kFloat64},
+                             {"c", data::DataType::kFloat64}}),
+               std::move(cols)));
+  const char* nested =
+      "SELECT b, COUNT(*) AS n, SUM(c) AS s FROM (SELECT *, FLOOR(a / 4) * 4 AS b "
+      "FROM t WHERE c > -2) AS sub WHERE b < 8 GROUP BY b";
+  auto stmt = *sql::ParseSql(nested);
+  auto flat = CloneStmt(*stmt);
+  FlattenStmt(flat.get());
+  ASSERT_EQ(flat->from.subquery, nullptr);
+  auto want = engine.Execute(*stmt);
+  auto got = engine.Execute(*flat);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(got->table->Equals(*want->table))
+      << "flat:\n" << got->table->ToString(8) << "nested:\n" << want->table->ToString(8);
 }
 
 TEST(FlattenTest, FilterMergeThroughTwoLevels) {

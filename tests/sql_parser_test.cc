@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "expr/compiler.h"
 #include "sql/prepared.h"
 #include "sql/sql_parser.h"
 
@@ -243,6 +246,101 @@ TEST(SqlTemplateTest, BindMatchesFilledText) {
   array_as_scalar.Set("f", expr::EvalValue::Number(3));  // :id needs a string
   array_as_scalar.Set("name", expr::EvalValue::String("x"));
   EXPECT_FALSE(BindStatement(*(*prepared)->stmt, array_as_scalar).ok());
+}
+
+// The rewriter's detail-view filter: a null-selection click and an
+// `inrange` brush, as they reach the DBMS.
+constexpr char kClickBrushTemplate[] =
+    "SELECT COUNT(*) AS c FROM movies WHERE (((${click} = NULL) OR "
+    "(mpaa = ${click})) AND (release_date BETWEEN LEAST(${brush[0]}, "
+    "${brush[1]}) AND GREATEST(${brush[0]}, ${brush[1]})))";
+
+SelectPtr BindClickBrush(const data::Value& click, const data::Value& lo,
+                         const data::Value& hi) {
+  auto prepared = PrepareStatement(kClickBrushTemplate);
+  EXPECT_TRUE(prepared.ok()) << prepared.status();
+  if (!prepared.ok()) return nullptr;
+  expr::MapSignalResolver params;
+  params.Set("click", expr::EvalValue(click));
+  params.Set("brush", expr::EvalValue::Array({lo, hi}));
+  auto bound = BindStatement(*(*prepared)->stmt, params);
+  EXPECT_TRUE(bound.ok()) << bound.status();
+  return bound.ok() ? *bound : nullptr;
+}
+
+TEST(SqlTemplateTest, BindFoldsClickAndBrushConstants) {
+  using data::Value;
+  const std::string prefix = "SELECT COUNT(*) AS c FROM movies WHERE ";
+  // No selection: the click disjunct folds to TRUE and drops out.
+  SelectPtr none = BindClickBrush(Value::Null(), Value::Double(10), Value::Double(20));
+  ASSERT_NE(none, nullptr);
+  EXPECT_EQ(ToSql(*none),
+            prefix + "((release_date >= 10) AND (release_date <= 20))");
+  // A selected value: the click reduces to one equality.
+  SelectPtr r = BindClickBrush(Value::String("R"), Value::Double(10), Value::Double(20));
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(ToSql(*r), prefix +
+                           "((mpaa = 'R') AND ((release_date >= 10) AND "
+                           "(release_date <= 20)))");
+
+  // Reversed and equal endpoints order through LEAST/GREATEST at bind time.
+  SelectPtr reversed =
+      BindClickBrush(Value::Null(), Value::Double(20), Value::Double(10));
+  ASSERT_NE(reversed, nullptr);
+  EXPECT_EQ(ToSql(*reversed), ToSql(*none));
+  SelectPtr equal = BindClickBrush(Value::Null(), Value::Double(15), Value::Double(15));
+  ASSERT_NE(equal, nullptr);
+  EXPECT_EQ(ToSql(*equal),
+            prefix + "((release_date >= 15) AND (release_date <= 15))");
+  // LEAST/GREATEST of a null endpoint is null, which no row satisfies.
+  SelectPtr null_end = BindClickBrush(Value::Null(), Value::Null(), Value::Double(20));
+  ASSERT_NE(null_end, nullptr);
+  EXPECT_EQ(ToSql(*null_end),
+            prefix + "((release_date >= NULL) AND (release_date <= NULL))");
+  // The interpreter's LEAST/GREATEST skip a NaN against a number, so a NaN
+  // endpoint collapses the brush onto the other one.
+  SelectPtr nan_end =
+      BindClickBrush(Value::Null(), Value::Double(std::nan("")), Value::Double(20));
+  ASSERT_NE(nan_end, nullptr);
+  EXPECT_EQ(ToSql(*nan_end),
+            prefix + "((release_date >= 20) AND (release_date <= 20))");
+
+  // The bound brush compiles to the fused compare-to-constant path that
+  // zone maps prune with.
+  const data::Schema schema({{"release_date", data::DataType::kTimestamp},
+                             {"mpaa", data::DataType::kString}});
+  for (const SelectPtr& stmt : {none, r}) {
+    auto program = expr::Compiler::Compile(stmt->where, schema);
+    ASSERT_TRUE(program.has_value()) << ToSql(*stmt);
+    EXPECT_FALSE(program->fused_preds.empty()) << ToSql(*stmt);
+  }
+}
+
+TEST(SqlTemplateTest, BindFoldingKeepsOutputTypesAndErrors) {
+  auto prepared = PrepareStatement(
+      "SELECT ${a} + ${b} AS s, LENGTH(${name}) AS n, v FROM t "
+      "WHERE (${on} OR v > ${a}) AND ${on} AND v < ${a} * ${b}");
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  expr::MapSignalResolver params;
+  params.Set("a", expr::EvalValue::Number(2));
+  params.Set("b", expr::EvalValue::Number(3));
+  params.Set("name", expr::EvalValue::String("abc"));
+  params.Set("on", expr::EvalValue::Bool(false));
+  auto bound = BindStatement(*(*prepared)->stmt, params);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  // `2 + 3` folds (a number either way); LENGTH infers an integer column but
+  // evaluates to a double, so it stays; `FALSE OR x` is x, `x AND FALSE`
+  // has a non-literal left side and stays.
+  EXPECT_EQ(ToSql(**bound),
+            "SELECT 5 AS s, LENGTH('abc') AS n, v FROM t WHERE (((v > 2) AND FALSE) "
+            "AND (v < 6))");
+
+  // A call with a bad arity is not folded away: execution still reports it.
+  auto bad_arity = PrepareStatement("SELECT v FROM t WHERE POW(${a}) > 1");
+  ASSERT_TRUE(bad_arity.ok()) << bad_arity.status();
+  auto bad_bound = BindStatement(*(*bad_arity)->stmt, params);
+  ASSERT_TRUE(bad_bound.ok()) << bad_bound.status();
+  EXPECT_NE(ToSql(**bad_bound).find("POW(2)"), std::string::npos) << ToSql(**bad_bound);
 }
 
 }  // namespace

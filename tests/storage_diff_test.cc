@@ -25,6 +25,7 @@
 #include "runtime/engine_config.h"
 #include "runtime/middleware.h"
 #include "sql/engine.h"
+#include "sql/prepared.h"
 #include "storage/column_file.h"
 #include "storage/reader.h"
 #include "storage/stats.h"
@@ -272,6 +273,51 @@ TEST_F(StorageDiffTest, SelectiveBrushPrunesChunksWithZeroDivergence) {
     EXPECT_GT(pruned_delta, 0u) << sql;
     ASSERT_TRUE(on->Equals(*off)) << sql;
     ASSERT_TRUE(on->Equals(*want)) << sql;
+  }
+  std::remove(path.c_str());
+}
+
+// The rewriter's brush reaches the DBMS as `x BETWEEN LEAST(a, b) AND
+// GREATEST(a, b)` beside a null-selection click; bound, it folds to literal
+// bounds, so a time-ordered shard prunes chunks and still answers exactly
+// like the in-memory table.
+TEST_F(StorageDiffTest, BoundLeastGreatestBrushPrunesShardChunks) {
+  TablePtr clustered = MakeClusteredTable(20000);
+  const std::string path = TempPath("bound_brush.vps");
+  storage::WriteOptions opts;
+  opts.chunk_rows = 1024;
+  ASSERT_TRUE(storage::TableShard::Write(path, *clustered, opts).ok());
+  auto reader = storage::Reader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  sql::Engine mem;
+  mem.RegisterTable("c", clustered);
+  sql::Engine shard;
+  ASSERT_TRUE(shard.RegisterShardTable("c", *reader).ok());
+
+  auto prepared = sql::PrepareStatement(
+      "SELECT COUNT(*) AS n, SUM(v) AS s, MIN(x) AS lo FROM c WHERE "
+      "(((${click} = NULL) OR (cat = ${click})) AND (x BETWEEN "
+      "LEAST(${brush[0]}, ${brush[1]}) AND GREATEST(${brush[0]}, ${brush[1]})))");
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  for (const data::Value& click : {data::Value::Null(), data::Value::String("run_0")}) {
+    expr::MapSignalResolver params;
+    params.Set("click", expr::EvalValue(click));
+    // Reversed endpoints, as a right-to-left drag leaves them.
+    params.Set("brush", expr::EvalValue::Array({data::Value::Double(1500),
+                                                data::Value::Double(300)}));
+    ScopedEngineConfig scoped(PruningConfig(true));
+    (*reader)->EvictAll();
+    const uint64_t pruned_before = storage::ChunksPruned();
+    auto got = shard.ExecuteBound(**prepared, params);
+    const uint64_t pruned_delta = storage::ChunksPruned() - pruned_before;
+    auto want = mem.ExecuteBound(**prepared, params);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_GT(pruned_delta, 0u) << click.ToString();
+    EXPECT_EQ(want->table->ValueAt(0, "lo").AsDouble(), 300);
+    ASSERT_TRUE(got->table->Equals(*want->table))
+        << "shard:\n" << got->table->ToString(8) << "memory:\n"
+        << want->table->ToString(8);
   }
   std::remove(path.c_str());
 }
